@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__
 from .expressivity import export_heatmap, export_report_json, load_pairs, score_pairs
@@ -80,7 +79,10 @@ def _config_from_args(args) -> RegimeConfig:
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphinv", description=__doc__)
     parser.add_argument("--version", action="version", version=f"graphinv {__version__} schema {SCHEMA_VERSION}")
-    parser.add_argument("--threads", type=int, default=1, help="per-graph parallelism")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and ignored: every command runs serially",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
     parser.add_argument(
         "--strict", action="store_true",
@@ -144,7 +146,7 @@ def _cmd_fingerprint(args) -> int:
     config = _config_from_args(args)
     catalog = build_catalog(config)
     ds = load_jsonl(args.dataset)
-    rows = fingerprint_dataset(ds, catalog, parallelism=args.threads)
+    rows = fingerprint_dataset(ds, catalog)
     write_fingerprint_csv(rows, catalog, args.out, config)
     failures = _count_failures(rows)
     print(f"wrote {len(rows)} rows x {sum(d.width for d in catalog)} values to {args.out} "
@@ -162,7 +164,7 @@ def _cmd_expressivity(args) -> int:
         print("no pairs found", file=sys.stderr)
         return EXIT_DATA
     mode = "absolute" if args.absolute else "relative"
-    report = score_pairs(pairs, catalog, tol=args.tol, mode=mode, parallelism=args.threads)
+    report = score_pairs(pairs, catalog, tol=args.tol, mode=mode)
     for cat, stats in report.category_stats().items():
         print(f"{cat}: {stats['count']}/{stats['size']} ({stats['accuracy']:.1%})")
     total = report.total_stats()
@@ -200,7 +202,7 @@ def _cmd_meta(args) -> int:
     table = assemble_meta_table(
         datasets, catalog,
         sample_size=args.sample, test_fraction=args.test_frac,
-        seed=args.seed, parallelism=args.threads,
+        seed=args.seed,
     )
     export_meta_csv(table, args.out, catalog, config)
     for w in table.warnings:
@@ -234,10 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphDataError, ConfigError, ValueError) as exc:
-        print(f"graphinv: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (GraphDataError, ConfigError, ValueError, OSError) as exc:
         print(f"graphinv: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -9,14 +9,13 @@ expressivity).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .graph import Graph, GraphDataError, graph_from_obj, make_graph
-from .registry import FingerprintVector, InvariantDescriptor, fingerprint
+from .registry import InvariantDescriptor, fingerprint, write_csv
 
 
 @dataclass(frozen=True)
@@ -74,35 +73,14 @@ def _block_difference(left, right, tol: float, mode: str) -> tuple[bool, float]:
     return delta > tol, delta
 
 
-def differentiates(
-    v_left: FingerprintVector,
-    v_right: FingerprintVector,
-    tol: float = 1e-6,
-    mode: str = "relative",
-) -> dict[str, bool]:
-    """Per-invariant verdicts for one pair of fingerprints."""
-    if mode not in ("relative", "absolute"):
-        raise ValueError(f"unknown tolerance mode {mode!r}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    left_schema = [(b.name, b.width) for b in v_left.blocks]
-    right_schema = [(b.name, b.width) for b in v_right.blocks]
-    if left_schema != right_schema:
-        raise ValueError("fingerprint schemas do not match")
-    return {
-        lb.name: _block_difference(lb, rb, tol, mode)[0]
-        for lb, rb in zip(v_left.blocks, v_right.blocks)
-    }
-
-
 def score_pairs(
     pairs: list[GraphPair],
     catalog: tuple[InvariantDescriptor, ...],
     tol: float = 1e-6,
     mode: str = "relative",
-    parallelism: int = 1,
 ) -> DifferentiationReport:
-    """Fingerprint both sides of every pair and tabulate differentiation."""
+    """Fingerprint both sides of every pair, serially and in pair order,
+    and tabulate differentiation."""
     if not pairs:
         raise ValueError("no pairs to score")
     if mode not in ("relative", "absolute"):
@@ -110,23 +88,13 @@ def score_pairs(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
 
-    def one(pair: GraphPair) -> tuple[np.ndarray, np.ndarray]:
+    differentiated = np.zeros((len(pairs), len(catalog)), dtype=bool)
+    max_rel_diff = np.zeros((len(pairs), len(catalog)))
+    for i, pair in enumerate(pairs):
         v_left = fingerprint(pair.left, catalog)
         v_right = fingerprint(pair.right, catalog)
-        flags = np.zeros(len(catalog), dtype=bool)
-        deltas = np.zeros(len(catalog))
         for j, (lb, rb) in enumerate(zip(v_left.blocks, v_right.blocks)):
-            flags[j], deltas[j] = _block_difference(lb, rb, tol, mode)
-        return flags, deltas
-
-    if parallelism > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-
-    differentiated = np.stack([r[0] for r in results])
-    max_rel_diff = np.stack([r[1] for r in results])
+            differentiated[i, j], max_rel_diff[i, j] = _block_difference(lb, rb, tol, mode)
     return DifferentiationReport(
         invariant_names=tuple(d.name for d in catalog),
         pair_ids=tuple(p.pair_id for p in pairs),
@@ -166,12 +134,14 @@ def heatmap_row_order(report: DifferentiationReport) -> list[int]:
 def export_heatmap(report: DifferentiationReport, path: str | Path) -> None:
     """CSV of per-pair, per-invariant max relative difference; one row per
     invariant, one column per pair."""
-    order = heatmap_row_order(report)
-    lines = ["invariant," + ",".join(report.pair_ids)]
-    for j in order:
-        cells = (repr(float(x)) for x in report.max_rel_diff[:, j])
-        lines.append(f"{report.invariant_names[j]}," + ",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        path,
+        ["invariant", *report.pair_ids],
+        (
+            [report.invariant_names[j], *(repr(float(x)) for x in report.max_rel_diff[:, j])]
+            for j in heatmap_row_order(report)
+        ),
+    )
 
 
 def export_report_json(report: DifferentiationReport, path: str | Path) -> None:
@@ -236,15 +206,19 @@ def graph6_to_graph(data: bytes | str, id: str = "") -> Graph:
     vals = [b - 63 for b in data]
     if any(v < 0 or v > 63 for v in vals):
         raise GraphDataError("invalid graph6 byte")
-    if vals[0] <= 62:
-        n = vals[0]
-        bits = vals[1:]
-    elif len(vals) >= 4 and vals[1] <= 62:
-        n = (vals[1] << 12) + (vals[2] << 6) + vals[3]
-        bits = vals[4:]
+    # The vertex count is 1, 4 or 8 bytes long; the longer forms open with one or two '~'.
+    if vals and vals[0] <= 62:
+        size, digits = 1, vals[:1]
+    elif len(vals) > 1 and vals[1] <= 62:
+        size, digits = 4, vals[1:4]
     else:
-        n = (vals[2] << 30) + (vals[3] << 24) + (vals[4] << 18) + (vals[5] << 12) + (vals[6] << 6) + vals[7]
-        bits = vals[8:]
+        size, digits = 8, vals[2:8]
+    if len(vals) < size:
+        raise GraphDataError(f"graph6 data too short for its {size}-byte size header")
+    n = 0
+    for d in digits:
+        n = (n << 6) + d
+    bits = vals[size:]
     need = n * (n - 1) // 2
     stream = []
     for v in bits:

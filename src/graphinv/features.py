@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, incidence_matrix
-from .registry import FingerprintVector, InvariantDescriptor, fingerprint
+from .registry import (
+    FingerprintVector,
+    InvariantDescriptor,
+    fingerprint,
+    fingerprint_header,
+    fingerprint_row,
+    write_csv,
+)
 
 DEFAULT_HOPS = 3
 
@@ -104,10 +111,6 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
     """One row per graph: graph_id, feature columns, invariant columns and
     statuses when combining, and a trailing label column when the dataset
     carries targets."""
-    from pathlib import Path
-
-    from .registry import fingerprint_header, fingerprint_row
-
     rows = [assemble_row(g, config, catalog) for g in dataset]
     dims = {vec.shape[0] for vec, _ in rows}
     if len(dims) > 1:
@@ -124,12 +127,12 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
     if has_labels:
         header.append("label")
 
-    lines = [",".join(header)]
+    body = []
     for g, (vec, fp) in zip(dataset, rows):
         cells = [g.id] + [repr(float(x)) for x in vec]
         if fp is not None:
             cells += fingerprint_row(fp)[1:]
         if has_labels:
             cells.append("" if g.label is None else _format_label(g.label))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        body.append(cells)
+    write_csv(path, header, body)

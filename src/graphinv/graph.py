@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -20,8 +20,6 @@ import numpy as np
 #: Sentinel for pairs in different connected components. Kept distinct
 #: from any finite distance; never a large finite stand-in.
 UNREACHABLE = -1
-
-SPLIT_FILES = ("train.jsonl", "val.jsonl", "test.jsonl")
 
 
 class GraphDataError(ValueError):
@@ -117,13 +115,6 @@ class DistanceMatrix:
 
     dist: np.ndarray  # (n, n) int64
 
-    @property
-    def order(self) -> int:
-        return self.dist.shape[0]
-
-    def finite_mask(self) -> np.ndarray:
-        return self.dist != UNREACHABLE
-
 
 @dataclass(frozen=True)
 class GraphDataset:
@@ -131,7 +122,6 @@ class GraphDataset:
 
     graphs: tuple[Graph, ...]
     name: str = ""
-    source_path: str = ""
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -140,14 +130,14 @@ class GraphDataset:
         return iter(self.graphs)
 
 
-def _dataset(graphs: Iterable[Graph], name: str, source_path: str) -> GraphDataset:
+def _dataset(graphs: Iterable[Graph], name: str) -> GraphDataset:
     graphs = tuple(graphs)
     seen: set[str] = set()
     for g in graphs:
         if g.id in seen:
             raise GraphDataError(f"duplicate graph id {g.id!r} in dataset {name!r}")
         seen.add(g.id)
-    return GraphDataset(graphs, name=name, source_path=source_path)
+    return GraphDataset(graphs, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +206,7 @@ def graph_from_obj(obj: dict, default_id: str) -> Graph:
         raise GraphDataError(f"graph {gid!r}: {exc}") from None
 
 
-def parse_jsonl_dataset(stream: IO | str | bytes, name: str = "", source_path: str = "") -> GraphDataset:
+def parse_jsonl_dataset(stream: IO | str | bytes, name: str = "") -> GraphDataset:
     """Parse a JSON-lines dataset, one graph object per line, preserving order."""
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
@@ -237,28 +227,14 @@ def parse_jsonl_dataset(stream: IO | str | bytes, name: str = "", source_path: s
         except json.JSONDecodeError as exc:
             raise GraphDataError(f"line {lineno}: invalid JSON ({exc.msg})") from None
         graphs.append(graph_from_obj(obj, default_id=f"g{lineno - 1}"))
-    return _dataset(graphs, name=name, source_path=source_path)
+    return _dataset(graphs, name=name)
 
 
 def load_jsonl(path: str | Path, name: str = "") -> GraphDataset:
     """Load a ``.jsonl`` dataset file."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_jsonl_dataset(fh, name=name or path.stem, source_path=str(path))
-
-
-def load_dataset_dir(path: str | Path) -> dict[str, GraphDataset]:
-    """Load the ``<name>/{train,val,test}.jsonl`` convention; absent splits are skipped."""
-    path = Path(path)
-    splits = {}
-    for fname in SPLIT_FILES:
-        fpath = path / fname
-        if fpath.exists():
-            split = fname.removesuffix(".jsonl")
-            splits[split] = load_jsonl(fpath, name=f"{path.name}/{split}")
-    if not splits:
-        raise GraphDataError(f"no {'/'.join(SPLIT_FILES)} found under {path}")
-    return splits
+        return parse_jsonl_dataset(fh, name=name or path.stem)
 
 
 def graph_to_obj(g: Graph) -> dict:

@@ -8,7 +8,6 @@ sorted vertex ids, so every intermediate matrix is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 

@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: eigendecomposition, pseudoinverse,
-pseudo-determinant, and linear solves.
+log pseudo-determinant, and linear solves.
 
 Everything here is dense; the invariant suite targets graphs of modest
 order, and dense eigh keeps results bit-deterministic for identical
@@ -82,14 +82,6 @@ def pseudoinverse(m: SymMatrix, rank_tol: float | None = None) -> SymMatrix:
     tol = default_rank_tol(lam) if rank_tol is None else rank_tol
     inv = np.where(np.abs(lam) > tol, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
     return sym_matrix((vec * inv) @ vec.T)
-
-
-def pseudo_determinant(m: SymMatrix, rank_tol: float | None = None) -> float:
-    """Product of eigenvalues above ``rank_tol`` in magnitude (1 for none)."""
-    lam = eigenvalues_sym(m)
-    tol = default_rank_tol(lam) if rank_tol is None else rank_tol
-    keep = lam[np.abs(lam) > tol]
-    return float(np.prod(keep)) if keep.size else 1.0
 
 
 def log_pseudo_determinant(m: SymMatrix, rank_tol: float | None = None) -> float:

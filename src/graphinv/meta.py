@@ -8,7 +8,6 @@ for an externally trained tabular model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,10 +18,11 @@ from .registry import (
     FingerprintVector,
     InvariantDescriptor,
     RegimeConfig,
-    SCHEMA_VERSION,
     fingerprint_dataset,
     fingerprint_header,
     fingerprint_row,
+    write_csv,
+    write_sidecar,
 )
 
 DEFAULT_SAMPLE_SIZE = 800
@@ -50,7 +50,6 @@ def assemble_meta_table(
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
-    parallelism: int = 1,
 ) -> MetaTable:
     """Sample uniformly without replacement per dataset, fingerprint, and
     split per label (stratified). Deterministic for a given seed."""
@@ -79,7 +78,7 @@ def assemble_meta_table(
             chosen = np.sort(rng.choice(n, size=sample_size, replace=False))
         graphs = [ds.graphs[i] for i in chosen]
         sub = GraphDataset(tuple(graphs), name=ds.name)
-        vecs = fingerprint_dataset(sub, catalog, parallelism=parallelism)
+        vecs = fingerprint_dataset(sub, catalog)
 
         n_rows = len(vecs)
         n_test = min(max(int(round(test_fraction * n_rows)), 1), n_rows - 1) if n_rows > 1 else 0
@@ -102,24 +101,21 @@ def assemble_meta_table(
 def export_meta_csv(table: MetaTable, path: str | Path, catalog, config: RegimeConfig) -> None:
     """CSV of fingerprint columns plus integer `label` and `split` columns;
     a JSON sidecar maps label indices to dataset names."""
-    path = Path(path)
-    value_header = fingerprint_header(catalog)[1 : 1 + sum(d.width for d in catalog)]
-    lines = [",".join(value_header + ["label", "split"])]
-    for vec, label, split in zip(table.rows, table.labels, table.splits):
-        cells = fingerprint_row(vec)[1 : 1 + sum(d.width for d in catalog)]
-        lines.append(",".join(cells + [str(label), split]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    sidecar = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.to_json_obj(),
-        "labels": {str(i): name for i, name in enumerate(table.label_names)},
-        "seed": table.seed,
-        "n_rows": len(table.rows),
-        "warnings": list(table.warnings),
-    }
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    values = slice(1, 1 + sum(d.width for d in catalog))
+    write_csv(
+        path,
+        fingerprint_header(catalog)[values] + ["label", "split"],
+        (
+            fingerprint_row(vec)[values] + [str(label), split]
+            for vec, label, split in zip(table.rows, table.labels, table.splits)
+        ),
+    )
+    write_sidecar(
+        path, config,
+        labels={str(i): name for i, name in enumerate(table.label_names)},
+        seed=table.seed,
+        n_rows=len(table.rows),
+        warnings=list(table.warnings),
     )
 
 

@@ -1,5 +1,5 @@
 """Invariant catalog, regime/subset configuration, fingerprint assembly,
-and CSV serialization.
+and the CSV and sidecar writers every command's output goes through.
 
 The catalog order is normative (basic, entropy, geometric/topological,
 indices) and stable across releases; any change bumps SCHEMA_VERSION,
@@ -8,10 +8,9 @@ which is recorded in the output sidecar.
 
 from __future__ import annotations
 
+import csv
 import json
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -87,18 +86,6 @@ class RegimeConfig:
             raise ConfigError(f"unknown override keys: {sorted(unknown)}")
         return replace(self, **overrides)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "regime": self.regime,
-            "subset": self.subset,
-            "q": self.q,
-            "alpha": self.alpha,
-            "torsion_dim": self.torsion_dim,
-            "spectrum_k": self.spectrum_k,
-            "randic_exponents": list(self.randic_exponents),
-            "hom_log1p": self.hom_log1p,
-        }
-
 
 @dataclass(frozen=True)
 class InvariantDescriptor:
@@ -108,12 +95,6 @@ class InvariantDescriptor:
     width: int
     regimes: frozenset[str]
     compute: Callable[[Graph], InvariantValue]
-
-    def subsets(self, regime: str) -> frozenset[str]:
-        members = {"I"}
-        if self.name in EXPRESSIVE_SUBSETS.get(regime, ()):
-            members.add("S")
-        return frozenset(members)
 
 
 def _master_catalog(config: RegimeConfig) -> list[InvariantDescriptor]:
@@ -235,10 +216,6 @@ def build_catalog(config: RegimeConfig) -> tuple[InvariantDescriptor, ...]:
     return tuple(picked)
 
 
-def catalog_schema(catalog: tuple[InvariantDescriptor, ...]) -> list[tuple[str, int]]:
-    return [(d.name, d.width) for d in catalog]
-
-
 # ---------------------------------------------------------------------------
 # Fingerprinting
 
@@ -249,7 +226,6 @@ class FingerprintVector:
 
     graph_id: str
     blocks: tuple[InvariantValue, ...]
-    elapsed_s: float = 0.0
 
     @property
     def width(self) -> int:
@@ -264,7 +240,6 @@ class FingerprintVector:
 def fingerprint(g: Graph, catalog: tuple[InvariantDescriptor, ...]) -> FingerprintVector:
     """Compute every catalog block for one graph; per-block failures are
     recorded without aborting the vector."""
-    start = time.perf_counter()
     blocks = []
     for desc in catalog:
         try:
@@ -274,26 +249,35 @@ def fingerprint(g: Graph, catalog: tuple[InvariantDescriptor, ...]) -> Fingerpri
         if block.width != desc.width:
             block = value_failed(desc.name, desc.width, f"width mismatch ({block.width} != {desc.width})")
         blocks.append(block)
-    return FingerprintVector(g.id, tuple(blocks), elapsed_s=time.perf_counter() - start)
+    return FingerprintVector(g.id, tuple(blocks))
 
 
 def fingerprint_dataset(
-    ds: GraphDataset,
-    catalog: tuple[InvariantDescriptor, ...],
-    parallelism: int = 1,
+    ds: GraphDataset, catalog: tuple[InvariantDescriptor, ...]
 ) -> list[FingerprintVector]:
-    """Fingerprint every graph; row order follows dataset order regardless
-    of parallelism."""
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if parallelism == 1 or len(ds) <= 1:
-        return [fingerprint(g, catalog) for g in ds]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(lambda g: fingerprint(g, catalog), ds.graphs))
+    """Fingerprint every graph, serially and in dataset order."""
+    return [fingerprint(g, catalog) for g in ds]
 
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """The one CSV writer: cells are quoted per RFC 4180 only when they
+    hold a comma, a quote or a newline; lines end in a bare newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_sidecar(path: str | Path, config: RegimeConfig, **fields) -> None:
+    """``<path>.meta.json``: schema version and config plus ``fields``."""
+    payload = {"schema_version": SCHEMA_VERSION, "config": asdict(config), **fields}
+    Path(f"{path}.meta.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def _format_value(x: float) -> str:
@@ -324,23 +308,12 @@ def write_fingerprint_csv(
 ) -> None:
     """CSV (graph_id, value columns, status columns) plus a JSON sidecar
     recording config, schema version, and failure counts."""
-    path = Path(path)
-    lines = [",".join(fingerprint_header(catalog))]
-    lines.extend(",".join(fingerprint_row(v)) for v in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = fingerprint_header(catalog)
+    write_csv(path, header, (fingerprint_row(v) for v in rows))
 
     failure_counts: dict[str, int] = {}
     for vec in rows:
         for block in vec.blocks:
             if not block.ok:
                 failure_counts[block.name] = failure_counts.get(block.name, 0) + 1
-    sidecar = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.to_json_obj(),
-        "n_rows": len(rows),
-        "columns": fingerprint_header(catalog),
-        "failure_counts": failure_counts,
-    }
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_sidecar(path, config, n_rows=len(rows), columns=header, failure_counts=failure_counts)

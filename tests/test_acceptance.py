@@ -241,7 +241,7 @@ def test_c6_brec_full_scale():
         pairs = load_pairs(path)
         assert len(pairs) == 400
         catalog = build_catalog(RegimeConfig())
-        report = score_pairs(pairs, catalog, tol=1e-6, parallelism=4)
+        report = score_pairs(pairs, catalog, tol=1e-6)
         stats = report.category_stats()
         expected = {"Basic": 60, "Regular": 120, "Extension": 100, "CFI": 12}
         for cat, want in expected.items():
@@ -317,7 +317,7 @@ def test_c9_meta_separability():
 
         table = assemble_meta_table(
             [GraphDataset(tuple(er), name="er"), GraphDataset(tuple(ba), name="ba")],
-            catalog, sample_size=400, test_fraction=0.2, seed=0, parallelism=4,
+            catalog, sample_size=400, test_fraction=0.2, seed=0,
         )
         separable = nearest_centroid_accuracy(table).overall_accuracy
         assert separable >= 0.9, f"ER vs BA accuracy {separable}"
@@ -325,8 +325,8 @@ def test_c9_meta_separability():
         # two samples of the SAME generator: chance level over 5 seeds;
         # fingerprints are pure per-graph functions, reused across seeds
         er2 = [erdos_renyi(30, 0.1, gen, id=f"er2-{i}") for i in range(400)]
-        rows_a = fingerprint_dataset(GraphDataset(tuple(er)), catalog, parallelism=4)
-        rows_b = fingerprint_dataset(GraphDataset(tuple(er2)), catalog, parallelism=4)
+        rows_a = fingerprint_dataset(GraphDataset(tuple(er)), catalog)
+        rows_b = fingerprint_dataset(GraphDataset(tuple(er2)), catalog)
         accs = []
         for seed in range(5):
             srng = np.random.default_rng(seed)

@@ -37,6 +37,18 @@ class TestExitCodes:
         code = main(["fingerprint", "--dataset", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_directory_dataset_is_data_error(self, tmp_path, capsys):
+        code = main(["fingerprint", "--dataset", str(tmp_path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_truncated_graph6_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.npy"
+        np.save(path, np.array(["", "C~"]))
+        assert main(["expressivity", "--pairs", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "graph6" in err[0]
+
     def test_malformed_dataset_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "x", "num_nodes": 2, "edges": [[0, 0]]}\n')

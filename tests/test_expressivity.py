@@ -6,7 +6,6 @@ import pytest
 from graphinv.expressivity import (
     DifferentiationReport,
     GraphPair,
-    differentiates,
     export_heatmap,
     export_report_json,
     graph6_to_graph,
@@ -15,8 +14,9 @@ from graphinv.expressivity import (
     parse_pairs_jsonl,
     score_pairs,
 )
-from graphinv.graph import graph_to_obj, make_graph, relabel
-from graphinv.registry import RegimeConfig, build_catalog, fingerprint
+from graphinv.graph import GraphDataError, graph_to_obj, make_graph, relabel
+from graphinv.invariants import value_ok
+from graphinv.registry import InvariantDescriptor, RegimeConfig, build_catalog
 
 from conftest import (
     cycle_graph,
@@ -42,37 +42,27 @@ def make_report(matrix, names=None, categories=None):
 
 
 class TestDifferentiates:
-    def setup_method(self):
-        self.catalog = build_catalog(RegimeConfig(subset="S"))
+    """Per-invariant verdicts of one pair, as score_pairs tabulates them."""
 
     def test_identical_vectors_all_false(self):
-        v = fingerprint(cycle_graph(5), self.catalog)
-        assert not any(differentiates(v, v).values())
+        g = cycle_graph(5)
+        report = score_pairs([GraphPair(g, g, "X", "p0")], build_catalog(RegimeConfig(subset="S")))
+        assert not report.differentiated.any()
+        assert (report.max_rel_diff == 0.0).all()
 
     def test_below_tolerance_false(self):
-        v = fingerprint(cycle_graph(5), self.catalog)
-        w = fingerprint(cycle_graph(5), self.catalog)
-        # nudge one component by 1e-9 on a value of magnitude ~1
-        nudged = w.blocks[2].values.copy()
-        nudged[0] += 1e-9
-        nudged.flags.writeable = False
-        blocks = list(w.blocks)
-        blocks[2] = type(w.blocks[2])(w.blocks[2].name, nudged, w.blocks[2].status)
-        w = type(w)(w.graph_id, tuple(blocks))
-        assert not any(differentiates(v, w, tol=1e-6).values())
-
-    def test_schema_mismatch_errors(self):
-        v = fingerprint(cycle_graph(5), self.catalog)
-        other = build_catalog(RegimeConfig(regime="reduced", subset="S"))
-        w = fingerprint(cycle_graph(5), other)
-        with pytest.raises(ValueError, match="schemas"):
-            differentiates(v, w)
+        # one block whose value moves by 1e-9 between the sides, on a magnitude of ~1
+        value = {"a": 1.0, "b": 1.0 + 1e-9}
+        cat = (InvariantDescriptor("nudged", 1, frozenset({"full"}), lambda g: value_ok("nudged", value[g.id])),)
+        pair = GraphPair(make_graph(2, [], id="a"), make_graph(2, [], id="b"), "X", "p0")
+        report = score_pairs([pair], cat, tol=1e-6)
+        assert not report.differentiated.any()
+        assert 0.0 < report.max_rel_diff[0, 0] < 1e-6
 
     def test_failed_blocks_never_differentiate(self):
-        cat = build_catalog(RegimeConfig())
-        a = fingerprint(make_graph(3, []), cat)  # curvatures fail
-        b = fingerprint(make_graph(4, []), cat)
-        verdicts = differentiates(a, b)
+        pair = GraphPair(make_graph(3, []), make_graph(4, []), "X", "p0")  # curvatures fail
+        report = score_pairs([pair], build_catalog(RegimeConfig()))
+        verdicts = dict(zip(report.invariant_names, report.differentiated[0]))
         assert verdicts["num_vertices"]
         assert not verdicts["forman_ricci_mean"]
 
@@ -205,6 +195,11 @@ class TestPairInputs:
         g = graph6_to_graph("Dhc")
         assert g.n_vertices == 5
         assert sorted(g.edges) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+
+    @pytest.mark.parametrize("data", ["", "~", "~?"])
+    def test_graph6_truncated_size_header(self, data):
+        with pytest.raises(GraphDataError, match="too short"):
+            graph6_to_graph(data)
 
     def test_brec_npy_roundtrip(self, tmp_path):
         path = tmp_path / "pairs.npy"

@@ -11,7 +11,6 @@ from graphinv.graph import (
     bfs_all_pairs,
     connected_components,
     degree_vector,
-    load_dataset_dir,
     make_graph,
     parse_edge_list,
     parse_jsonl_dataset,
@@ -92,14 +91,6 @@ class TestParseJsonl:
         g = parse_jsonl_dataset(json.dumps(obj)).graphs[0]
         assert g.edges == ((0, 1), (1, 2))
         assert g.edge_features[:, 0].tolist() == [10.0, 20.0]
-
-    def test_dataset_dir(self, tmp_path):
-        (tmp_path / "train.jsonl").write_text(
-            json.dumps({"id": "a", "num_nodes": 2, "edges": [[0, 1]]}) + "\n"
-        )
-        splits = load_dataset_dir(tmp_path)
-        assert set(splits) == {"train"}
-        assert len(splits["train"]) == 1
 
 
 class TestDistances:
