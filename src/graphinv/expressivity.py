@@ -9,6 +9,7 @@ expressivity).
 from __future__ import annotations
 
 import json
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -254,11 +255,44 @@ def _brec_category(pair_index: int) -> str:
     return "Uncategorized"
 
 
+class _ArrayUnpickler(pickle.Unpickler):
+    """Unpickles what numpy writes for an object array and nothing else:
+    any global other than the array-reconstruct ones is refused, so a
+    crafted file cannot run code while it loads."""
+
+    ALLOWED = {
+        ("numpy._core.multiarray", "_reconstruct"),
+        ("numpy.core.multiarray", "_reconstruct"),
+        ("numpy", "ndarray"),
+        ("numpy", "dtype"),
+    }
+
+    def find_class(self, module, name):
+        if (module, name) not in self.ALLOWED:
+            raise GraphDataError(f"refusing pickled global {module}.{name} in a .npy file")
+        return super().find_class(module, name)
+
+
+def _read_npy(path: Path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        fmt = np.lib.format
+        version = fmt.read_magic(fh)
+        _, _, dtype = (fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0)(fh)
+        if not dtype.hasobject:
+            fh.seek(0)
+            return fmt.read_array(fh, allow_pickle=False)
+        try:
+            return np.asarray(_ArrayUnpickler(fh).load())
+        except (pickle.UnpicklingError, EOFError, TypeError) as exc:
+            raise GraphDataError(f"unreadable object array in {path}: {exc}") from exc
+
+
 def load_brec_npy(path: str | Path) -> list[GraphPair]:
     """Ingest the BREC distribution: a .npy array of graph6 strings where
     consecutive entries form the non-isomorphic pairs."""
-    raw = np.load(Path(path), allow_pickle=True)
-    flat = [x for x in np.asarray(raw).reshape(-1)]
+    flat = list(_read_npy(Path(path)).reshape(-1))
+    if not all(isinstance(x, (str, bytes)) for x in flat):
+        raise GraphDataError(f"BREC file {path} holds an entry that is not a graph6 string")
     if len(flat) % 2 != 0:
         raise GraphDataError(f"BREC file {path} holds an odd number of graphs")
     pairs = []

@@ -1,19 +1,25 @@
 """Exact 1-Wasserstein distance between small discrete measures.
 
-Solved with a transportation simplex (northwest-corner start, MODI
-pivoting) specialized for the tiny dense instances that arise from
-neighbourhood measures; the optimum is a basic solution, exact up to
-float rounding on the mass updates. Dantzig pivoting is used first and
-Bland's rule takes over if an instance ever threatens to cycle.
+Solved with a transportation simplex specialized for the tiny dense
+instances that arise from neighbourhood measures. It starts from the
+least-cost basic solution: cells are taken in ascending cost order and each
+closes exactly one row or column, so the m + n - 1 basic cells form a
+spanning tree of the row and column nodes. The tree is kept across pivots:
+a pivot swaps the leaving cell for the entering one and re-hangs only the
+subtree the leaving cell cut off, with its dual potentials. The optimum is
+a basic solution, exact up to float rounding on the mass updates. Dantzig
+pivoting is used first and Bland's rule takes over if an instance ever
+threatens to cycle.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 
 import numpy as np
 
 _EPS = 1e-11
+_BALANCE_TOL = 1e-9
 
 
 class TransportError(RuntimeError):
@@ -21,128 +27,122 @@ class TransportError(RuntimeError):
     inputs)."""
 
 
-def _northwest_corner(mu: np.ndarray, nu: np.ndarray):
-    m, n = len(mu), len(nu)
-    a = mu.astype(np.float64).copy()
-    b = nu.astype(np.float64).copy()
-    basis: list[tuple[int, int]] = []
-    flow: dict[tuple[int, int], float] = {}
-    i = j = 0
-    while True:
-        basis.append((i, j))
+def _least_cost_start(a: list[float], b: list[float], cost: np.ndarray) -> dict[int, float]:
+    """Flows of the m + n - 1 basic cells by row-major index; uses up `a` and
+    `b`. A cell reached with its row and column open takes min(a_i, b_j) and
+    closes one of the two, never the last open row or column before the end."""
+    m, n = cost.shape
+    row_open, col_open = [True] * m, [True] * n
+    rows_left, cols_left = m, n
+    flow: dict[int, float] = {}
+    for cell in cost.argsort(axis=None, kind="stable").tolist():
+        i, j = divmod(cell, n)
+        if not (row_open[i] and col_open[j]):
+            continue
         f = min(a[i], b[j])
-        flow[(i, j)] = f
+        flow[cell] = f
         a[i] -= f
         b[j] -= f
-        if i == m - 1 and j == n - 1:
-            break
-        if j == n - 1 or (a[i] <= b[j] and i < m - 1):
-            i += 1
+        if cols_left == 1 or (rows_left > 1 and a[i] <= b[j]):
+            row_open[i] = False
+            rows_left -= 1
+            if rows_left == 0:
+                break
         else:
-            j += 1
-    return basis, flow
+            col_open[j] = False
+            cols_left -= 1
+    return flow
 
 
-def _duals(basis, cost, m, n):
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {k: [] for k in range(m + n)}
-    for i, j in basis:
-        adj[i].append((m + j, (i, j)))
-        adj[m + j].append((i, (i, j)))
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    queue = deque([0])
-    seen = {0}
-    while queue:
-        node = queue.popleft()
-        for nxt, (i, j) in adj[node]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if nxt >= m:
-                v[nxt - m] = cost[i, j] - u[i]
-            else:
-                u[nxt] = cost[i, j] - v[j]
-            queue.append(nxt)
-    return u, v
-
-
-def _cycle(basis, entering, m):
-    """Unique cycle created by the entering cell: path between its row and
-    column nodes through the basis tree, plus the entering cell."""
-    i0, j0 = entering
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append((m + j, (i, j)))
-        adj.setdefault(m + j, []).append((i, (i, j)))
-    start, goal = i0, m + j0
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (start, entering)}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, cell)
-                queue.append(nxt)
-    path_cells = []
-    node = goal
-    while node != start:
-        node, cell = parent[node]
-        path_cells.append(cell)
-    return [entering] + path_cells  # alternating +, -, +, ... from entering
+def _hang(adj, cf, m, n, pot, parent, depth, node: int, via: int) -> None:
+    """Hang the subtree reached from `via` through `node`, setting each of
+    its nodes' parent, depth and potential so that cost = u_i + v_j on every
+    tree edge. Rows are nodes 0..m-1, column j is node m + j."""
+    parent[node] = via
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        p = parent[x]
+        depth[x] = depth[p] + 1
+        pot[x] = (cf[x * n + p - m] if x < m else cf[p * n + x - m]) - pot[p]
+        for y in adj[x]:
+            if y != p:
+                parent[y] = x
+                stack.append(y)
 
 
 def wasserstein_1(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> float:
     """Optimal transport cost between distributions `mu` (m,) and `nu` (n,)
-    under the `cost` matrix (m, n). Both distributions must sum to 1."""
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    cost = np.asarray(cost, dtype=np.float64)
+    under the `cost` matrix (m, n). Masses must be finite and non-negative
+    and both distributions must have the same total (1 for probability
+    measures); anything else raises ValueError."""
+    mu, nu, cost = (np.asarray(x, dtype=np.float64) for x in (mu, nu, cost))
     m, n = cost.shape
     if mu.shape != (m,) or nu.shape != (n,):
         raise ValueError("distribution lengths do not match the cost matrix")
-    if m == 1:
-        return float(cost[0] @ nu)
-    if n == 1:
-        return float(mu @ cost[:, 0])
+    a, b = mu.tolist(), nu.tolist()
+    sa, sb = sum(a), sum(b)  # not finite exactly when some mass is NaN or infinite
+    if not (math.isfinite(sa) and math.isfinite(sb)) or min(a) < 0 or min(b) < 0:
+        raise ValueError("masses must be finite and non-negative")
+    if abs(sa - sb) > _BALANCE_TOL:
+        raise ValueError(f"unbalanced measures: masses sum to {sa!r} and {sb!r}")
 
-    basis, flow = _northwest_corner(mu, nu)
-    basis_set = set(basis)
+    flow = _least_cost_start(a, b, cost)
+    cf = cost.ravel().tolist()
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for cell in flow:
+        i, j = divmod(cell, n)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot, parent, depth = [0.0] * (m + n), [-1] * (m + n), [0] * (m + n)
+    for y in adj[0]:
+        _hang(adj, cf, m, n, pot, parent, depth, y, 0)
+
     max_iter = 200 * (m + n)
     bland_after = max_iter // 2
     for iteration in range(max_iter):
-        u, v = _duals(basis, cost, m, n)
-        reduced = cost - u[:, None] - v[None, :]
-        for i, j in basis:
-            reduced[i, j] = 0.0
+        p = np.array(pot)
+        reduced = cost - p[:m, None] - p[m:]
+        reduced.put(list(flow), 0.0)
         if iteration < bland_after:
-            flat = int(np.argmin(reduced))
-            entering = (flat // n, flat % n)
-            if reduced[entering] >= -_EPS:
+            entering = int(reduced.argmin())
+            if reduced.item(entering) >= -_EPS:
                 break
         else:  # Bland: first negative cell in row-major order
-            candidates = np.argwhere(reduced < -_EPS)
+            candidates = np.flatnonzero(reduced < -_EPS)
             if candidates.size == 0:
                 break
-            entering = (int(candidates[0][0]), int(candidates[0][1]))
+            entering = int(candidates[0])
+        i0, j0 = divmod(entering, n)
 
-        cells = _cycle(basis, entering, m)
-        minus = cells[1::2]
-        theta = min(flow[c] for c in minus)
-        leaving = next(c for c in minus if flow[c] == theta)
-        for k, c in enumerate(cells):
-            if k % 2 == 0:
-                flow[c] = flow.get(c, 0.0) + theta
+        # The tree path from column j0 up to the common ancestor and down
+        # to row i0 closes the cycle; its cells alternate -theta, +theta.
+        up_col, up_row = [], []
+        x, y = m + j0, i0
+        while x != y:
+            if depth[x] >= depth[y]:
+                up_col.append(x)
+                x = parent[x]
             else:
-                flow[c] -= theta
-        basis_set.discard(leaving)
-        basis_set.add(entering)
-        basis = list(basis_set)
-        flow.pop(leaving, None)
-        flow.setdefault(entering, 0.0)
+                up_row.append(y)
+                y = parent[y]
+        cells = [x * n + parent[x] - m if x < m else parent[x] * n + x - m for x in up_col + up_row[::-1]]
+        k = min(range(0, len(cells), 2), key=lambda s: flow[cells[s]])  # first of the least
+        theta = flow[cells[k]]
+        for s, cell in enumerate(cells):
+            flow[cell] += theta if s % 2 else -theta
+        del flow[cells[k]]
+        flow[entering] = theta
+        li, lj = divmod(cells[k], n)
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[i0].append(m + j0)
+        adj[m + j0].append(i0)
+        # The subtree the leaving cell cut off holds column j0 exactly when
+        # the leaving cell lies on the column's side of the cycle.
+        inside, outside = (m + j0, i0) if k < len(up_col) else (i0, m + j0)
+        _hang(adj, cf, m, n, pot, parent, depth, inside, outside)
     else:
         raise TransportError(f"transportation simplex did not terminate ({m}x{n})")
 
-    return float(sum(cost[c] * f for c, f in flow.items()))
+    return float(sum(cf[cell] * f for cell, f in flow.items()))

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -263,13 +264,17 @@ def fingerprint_dataset(
 # Serialization
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
     """The one CSV writer: cells are quoted per RFC 4180 only when they
-    hold a comma, a quote or a newline; lines end in a bare newline."""
+    hold a comma, a quote or a newline; lines end in a bare newline. A row
+    with a carriage return in any cell has every cell quoted, because the
+    writer leaves a bare "\r" unquoted under a "\n" line terminator and a
+    reader would split the row there."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in chain([header], rows):
+            (quoted if "\r" in "".join(row) else plain).writerow(row)
 
 
 def write_sidecar(path: str | Path, config: RegimeConfig, **fields) -> None:

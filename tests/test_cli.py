@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -48,6 +49,25 @@ class TestExitCodes:
         assert main(["expressivity", "--pairs", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "graph6" in err[0]
+
+    def test_pickled_code_in_npy_is_refused(self, tmp_path, capsys):
+        marker = tmp_path / "side-effect"
+
+        class Payload:
+            def __reduce__(self):
+                return os.mkdir, (str(marker),)
+
+        path = tmp_path / "crafted.npy"
+        np.save(path, np.array([Payload(), "C~"], dtype=object), allow_pickle=True)
+        assert main(["expressivity", "--pairs", str(path)]) == 2
+        assert not marker.exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_non_string_npy_entry_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "none.npy"
+        np.save(path, np.array([None, "C~"], dtype=object), allow_pickle=True)
+        assert main(["expressivity", "--pairs", str(path)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_malformed_dataset_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -11,17 +11,12 @@ from hypothesis import strategies as st
 from graphinv.expressivity import DifferentiationReport, export_heatmap
 from graphinv.features import FeatureConfig, write_features_csv
 from graphinv.graph import GraphDataset, make_graph
-from graphinv.registry import RegimeConfig, build_catalog, fingerprint, write_fingerprint_csv
+from graphinv.registry import RegimeConfig, build_catalog, fingerprint, write_csv, write_fingerprint_csv
 
 from conftest import cycle_graph
 
-# A bare "\r" is left out: with a "\n" line terminator the csv writer does
-# not quote it, and the reader then splits the row there.
 TEXT = st.text(
-    st.one_of(
-        st.sampled_from(',"\n'),
-        st.characters(exclude_categories=("Cs",), exclude_characters="\r"),
-    ),
+    st.one_of(st.sampled_from(',"\n\r'), st.characters(exclude_categories=("Cs",))),
     max_size=8,
 )
 IDS = st.lists(TEXT, min_size=1, max_size=5, unique=True)
@@ -79,3 +74,10 @@ def test_heatmap_round_trip(tmp_path, pair_ids):
     header, rows = read_back(path)
     assert header == ["invariant", *pair_ids]
     assert [row[0] for row in rows] == ["a", "b"]
+
+
+def test_carriage_return_row_is_fully_quoted(tmp_path):
+    path = tmp_path / "cr.csv"
+    write_csv(path, ["id", "x"], [["a\rb", "z"], ["a,b", "1.0"], ["c", "2.0"]])
+    assert path.read_bytes() == b'id,x\n"a\rb","z"\n"a,b",1.0\nc,2.0\n'
+    assert read_back(path)[1] == [["a\rb", "z"], ["a,b", "1.0"], ["c", "2.0"]]

@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from graphinv.invariants.topo import ollivier_ricci
 from graphinv.invariants.transport import wasserstein_1
 
-from oracles import wasserstein_exhaustive
+from conftest import erdos_renyi
+from oracles import adjacency, degrees, floyd_warshall, wasserstein_exhaustive
 
 
 def linprog_w1(mu, nu, cost):
@@ -83,3 +87,82 @@ class TestWasserstein:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             wasserstein_1(np.ones(2) / 2, np.ones(2) / 2, np.ones((3, 2)))
+
+
+# Masses are integer weights over their total and float costs lie on a
+# 1e-3 grid, so that distinct basic solutions and reduced costs stay far
+# above the 1e-7 tolerances of HiGHS, the linprog oracle, which otherwise
+# stops short on masses or cost differences below them.
+@st.composite
+def measure(draw, size):
+    """Exact zeros, uniform measures and point masses all occur."""
+    weights = draw(st.one_of(
+        st.just([1] * size),
+        st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any),
+        st.lists(st.integers(0, 1000), min_size=size, max_size=size).filter(any),
+    ))
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+@st.composite
+def instances(draw, max_side, integer_costs):
+    m, n = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cells = st.integers(0, 3)
+    if not integer_costs:
+        cells = st.one_of(cells, st.floats(0.0, 3.0).map(lambda x: round(x, 3)))
+    cost = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=m, max_size=m))
+    return draw(measure(m)), draw(measure(n)), cost
+
+
+def as_arrays(mu, nu, cost):
+    return np.array([float(x) for x in mu]), np.array([float(x) for x in nu]), np.array(cost, dtype=float)
+
+
+class TestOracleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(instances(max_side=8, integer_costs=False))
+    def test_matches_linprog(self, instance):
+        mu, nu, cost = as_arrays(*instance)
+        assert wasserstein_1(mu, nu, cost) == pytest.approx(linprog_w1(mu, nu, cost), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(max_side=4, integer_costs=True))
+    def test_matches_exhaustive_plan_search(self, instance):
+        want = wasserstein_exhaustive(*instance)
+        assert wasserstein_1(*as_arrays(*instance)) == pytest.approx(float(want), abs=1e-9)
+
+
+class TestInputValidation:
+    def test_negative_mass(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            wasserstein_1(np.array([1.5, -0.5]), np.array([0.5, 0.5]), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mass(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein_1(np.array([0.5, 0.5]), np.array([bad, 0.5]), np.ones((2, 2)))
+
+    def test_unbalanced_measures(self):
+        with pytest.raises(ValueError, match="unbalanced"):
+            wasserstein_1(np.array([0.5, 0.5]), np.array([0.5, 0.25]), np.ones((2, 2)))
+
+
+class TestOllivierRicci:
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.9])
+    def test_every_edge_matches_linprog(self, rng, alpha):
+        # alpha = 0 leaves each centre vertex with zero mass
+        for _ in range(6):
+            g = erdos_renyi(9, 0.35, rng)
+            if g.n_edges == 0:
+                continue
+            dist = np.array(floyd_warshall(g.n_vertices, g.edges))
+            deg = degrees(g.n_vertices, g.edges)
+            adj = adjacency(g.n_vertices, g.edges)
+            got = ollivier_ricci(g, alpha)
+            for e, (u, v) in enumerate(g.edges):
+                sup_u = [u, *np.flatnonzero(adj[u])]
+                sup_v = [v, *np.flatnonzero(adj[v])]
+                mu = np.array([alpha] + [(1 - alpha) / deg[u]] * deg[u])
+                nu = np.array([alpha] + [(1 - alpha) / deg[v]] * deg[v])
+                want = 1.0 - linprog_w1(mu, nu, dist[np.ix_(sup_u, sup_v)])
+                assert got.values[e] == pytest.approx(want, abs=1e-9)
