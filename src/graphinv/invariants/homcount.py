@@ -2,22 +2,47 @@
 
 Counts adjacency-preserving (not necessarily injective) vertex maps from
 each catalog pattern into the host graph by dynamic programming over a
-path decomposition of the pattern: vertices are placed one at a time in
-a connected order chosen to minimize the active-boundary width, partial
-counts are keyed by the images of boundary vertices, and vertices whose
-pattern neighbours are all placed are summed out immediately. Counts are
-exact (Python integers) and reported as failed on 64-bit overflow.
+path decomposition of the pattern. Vertices are placed one at a time in
+a connected order chosen to minimize the active-boundary width; the
+table after each placement holds one row per distinct image of the
+boundary vertices, as an integer key array (rows x boundary width) and
+a count array, and a vertex whose pattern neighbours are all placed is
+summed out at once (duplicate rows are merged by sorting their base-n
+key codes, or the key columns when n**width exceeds int64, and adding
+with ``np.add.reduceat``).
+
+One placement extends every row along the CSR neighbour list of the
+image of its first already-placed neighbour, keeps the candidates that
+are adjacent to the images of the others (a binary search in the
+sorted edge codes) and projects onto the next boundary; a vertex that
+is summed out as soon as it is placed only multiplies each row's count
+by its number of images. Rows are extended in chunks of at most
+``_CHUNK_ROWS`` candidates, so memory stays O(m + table). The table
+after a sequence of placements depends only on that sequence, so the
+31 plans are walked as a trie: a shared prefix (63 distinct ones for
+138 steps) is computed once and reused by every pattern below it.
+
+Counts are exact. Every partial table counts maps of a connected
+pattern with at most five vertices, so no entry or sum exceeds
+n * maxdeg**4; when that bound fits in int64 the counts are int64,
+otherwise they are Python integers (``dtype=object``) on the same code
+path. Counts above the int64 range are reported by ``overflows_int64``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterable
 
-from ..graph import Graph, adjacency_sets
+import numpy as np
+
+from ..graph import Graph
 from .patterns import PATTERN_CATALOG, Pattern
 
 _INT64_MAX = 2**63 - 1
+_CHUNK_ROWS = 1 << 13  # candidate rows built at once within one step
+_MAX_ORDER = max(p.n_vertices for p in PATTERN_CATALOG)
 
 
 @dataclass(frozen=True)
@@ -75,41 +100,149 @@ def _compile(pattern: Pattern) -> _Plan:
 _PLANS: tuple[_Plan, ...] = tuple(_compile(p) for p in PATTERN_CATALOG)
 
 
-def count_homomorphisms(pattern_index: int, g: Graph) -> int:
-    """Exact number of homomorphisms from catalog pattern `pattern_index`
-    into `g`."""
-    plan = _PLANS[pattern_index]
-    n = g.n_vertices
-    if n == 0:
-        return 0
-    adj = adjacency_sets(g)
-    everything = frozenset(range(n))
+@dataclass(frozen=True)
+class _Host:
+    """The host graph as CSR neighbour lists plus sorted edge codes
+    ``u * n + v`` over both orientations of every edge."""
 
-    table: dict[tuple[int, ...], int] = {(): 1}
-    for step in plan.steps:
-        anchors = step.anchors
-        keep = step.keep
-        new_table: dict[tuple[int, ...], int] = {}
-        for key, cnt in table.items():
-            if anchors:
-                candidates = adj[key[anchors[0]]]
-                for a in anchors[1:]:
-                    candidates = candidates & adj[key[a]]
-            else:
-                candidates = everything
-            for x in candidates:
-                extended = key + (x,)
-                new_key = tuple(extended[i] for i in keep)
-                new_table[new_key] = new_table.get(new_key, 0) + cnt
-        table = new_table
-        if not table:
-            return 0
-    return table.get((), 0)
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    codes: np.ndarray
+    dtype: object  # of the counts: np.int64, or object when that could overflow
+
+    @classmethod
+    def of(cls, g: Graph) -> _Host:
+        n = g.n_vertices
+        e = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+        codes = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        indptr = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
+        max_deg = int(np.diff(indptr).max()) if n else 0
+        fits = n * max_deg ** (_MAX_ORDER - 1) <= _INT64_MAX
+        return cls(n, indptr, codes % n, codes, np.int64 if fits else object)
+
+    def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        q = u * self.n + v
+        pos = np.minimum(np.searchsorted(self.codes, q), len(self.codes) - 1)
+        return self.codes[pos] == q
+
+
+def _sum_duplicates(keys: np.ndarray, counts: np.ndarray, n: int):
+    """Merge rows with equal keys, adding their counts."""
+    if not len(keys):
+        return keys, counts
+    if n ** keys.shape[1] <= _INT64_MAX:
+        code = np.zeros(len(keys), dtype=np.int64)
+        for column in keys.T:
+            code = code * n + column
+        order = np.argsort(code)
+    else:
+        order = np.lexsort(keys.T[::-1])
+    keys, counts = keys[order], counts[order]
+    changed = np.zeros(len(keys) - 1, dtype=bool)
+    for column in keys.T:
+        changed |= column[1:] != column[:-1]
+    starts = np.concatenate([[0], np.flatnonzero(changed) + 1])
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _neighbour_lists(keys: np.ndarray, step: _Step, host: _Host):
+    """Per row: where its candidate list starts in the returned pool, and
+    its length. Candidates are the neighbours of the first anchor's
+    image, or every vertex for the first placement."""
+    if step.anchors:
+        src = keys[:, step.anchors[0]]
+        first = host.indptr[src]
+        return first, host.indptr[src + 1] - first, host.indices
+    first = np.zeros(len(keys), dtype=np.int64)
+    return first, np.full(len(keys), host.n, dtype=np.int64), np.arange(host.n, dtype=np.int64)
+
+
+def _extensions(keys: np.ndarray, step: _Step, host: _Host):
+    """Yield, chunk by chunk, `(rows, x)`: row indices into `keys` and an
+    image x of the vertex `step` places, adjacent to the images of all
+    its anchors. Each chunk extends at most `_CHUNK_ROWS` candidates,
+    except that one row with more neighbours than that is a chunk alone."""
+    first, degree, pool = _neighbour_lists(keys, step, host)
+    ends = np.cumsum(degree)
+    start = 0
+    while start < len(keys):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK_ROWS, side="right")))
+        d = degree[start:stop]
+        rows = np.repeat(np.arange(start, stop), d)
+        offset = np.repeat(first[start:stop] - (ends[start:stop] - d - base), d)
+        x = pool[offset + np.arange(len(rows))]
+        for a in step.anchors[1:]:
+            hit = host.adjacent(keys[rows, a], x)
+            rows, x = rows[hit], x[hit]
+        yield rows, x
+        start = stop
+
+
+def _place(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host):
+    """The table after `step`, from the table `keys`, `counts` before it."""
+    width = keys.shape[1]
+    merges = sum(k < width for k in step.keep) < width  # an old column is summed out
+    if width not in step.keep:
+        # The new vertex is summed out at once: multiply each row's count
+        # by its number of images instead of building the extended rows.
+        if len(step.anchors) > 1:
+            images = sum(np.bincount(rows, minlength=len(keys))
+                         for rows, _ in _extensions(keys, step, host))
+        else:
+            images = _neighbour_lists(keys, step, host)[1]
+        live = images > 0
+        keys, counts = keys[live][:, step.keep], counts[live] * images[live]
+        return _sum_duplicates(keys, counts, host.n) if merges else (keys, counts)
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    merged = pending = 0  # rows in `parts` from the last merge, and since
+    for rows, x in _extensions(keys, step, host):
+        part = np.column_stack([keys[rows], x])[:, step.keep], counts[rows]
+        if merges:
+            part = _sum_duplicates(*part, host.n)
+            pending += len(part[1])
+        parts.append(part)
+        if merges and pending > max(merged, _CHUNK_ROWS):
+            parts = [_sum_duplicates(*map(np.concatenate, zip(*parts)), host.n)]
+            merged, pending = len(parts[0][1]), 0
+    keys, counts = map(np.concatenate, zip(*parts))
+    if merges and len(parts) > 1:
+        keys, counts = _sum_duplicates(keys, counts, host.n)
+    return keys, counts
+
+
+def _walk(table, depth: int, members: list[tuple[int, _Plan]], host: _Host, out: list[int]) -> None:
+    """Finish every plan in `members`, all of whose first `depth` steps
+    produced `table`, writing each count to `out` at its position."""
+    if not len(table[1]):
+        return  # no partial map survives: every count below is 0
+    children: dict[_Step, list[tuple[int, _Plan]]] = {}
+    for pos, plan in members:
+        if depth == len(plan.steps):
+            out[pos] = int(table[1].sum())
+        else:
+            children.setdefault(plan.steps[depth], []).append((pos, plan))
+    for step, group in children.items():
+        _walk(_place(*table, step, host), depth + 1, group, host, out)
+
+
+def count_patterns(g: Graph, indices: Iterable[int]) -> list[int]:
+    """Exact homomorphism counts into `g` of the catalog patterns at
+    `indices`, in that order, sharing tables across common plan
+    prefixes."""
+    members = [(pos, _PLANS[i]) for pos, i in enumerate(indices)]
+    out = [0] * len(members)
+    if g.n_vertices:
+        host = _Host.of(g)
+        root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
+        _walk(root, 0, members, host, out)
+    return out
 
 
 def count_all_patterns(g: Graph) -> list[int]:
     """Homomorphism counts for every catalog pattern, in catalog order."""
-    return [count_homomorphisms(i, g) for i in range(len(PATTERN_CATALOG))]
+    return count_patterns(g, range(len(PATTERN_CATALOG)))
 
 
 def overflows_int64(counts: list[int]) -> bool:

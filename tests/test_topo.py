@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphinv.graph import adjacency_matrix, degree_vector, make_graph, relabel
-from graphinv.invariants.homcount import count_all_patterns, count_homomorphisms
+from graphinv.invariants import homcount, topo
+from graphinv.invariants.homcount import count_all_patterns, count_patterns
 from graphinv.invariants.patterns import PATTERN_CATALOG, canonical_form
 from graphinv.invariants.simplicial import clique_complex, hodge_laplacian
 from graphinv.invariants.topo import (
@@ -36,6 +39,7 @@ from conftest import (
 )
 from oracles import (
     commute_time_simulation,
+    count_homomorphisms_einsum,
     count_homomorphisms_exhaustive,
     wasserstein_exhaustive,
 )
@@ -148,21 +152,21 @@ class TestHomomorphismCounts:
     def test_single_vertex_pattern(self, rng):
         for _ in range(10):
             g = random_graph(rng)
-            assert count_homomorphisms(0, g) == g.n_vertices
+            assert count_all_patterns(g)[0] == g.n_vertices
 
     def test_edge_pattern(self, rng):
         # catalog index 1 is the single edge
         assert PATTERN_CATALOG[1].edges == ((0, 1),)
         for _ in range(10):
             g = random_graph(rng)
-            assert count_homomorphisms(1, g) == 2 * g.n_edges
+            assert count_all_patterns(g)[1] == 2 * g.n_edges
 
     def test_p3_into_c4(self):
         p3_index = next(
             i for i, p in enumerate(PATTERN_CATALOG)
             if p.n_vertices == 3 and len(p.edges) == 2
         )
-        assert count_homomorphisms(p3_index, cycle_graph(4)) == 16
+        assert count_all_patterns(cycle_graph(4))[p3_index] == 16
 
     def test_all_patterns_against_exhaustive(self, rng):
         for _ in range(12):
@@ -182,6 +186,111 @@ class TestHomomorphismCounts:
 
     def test_invariant_width(self, rng):
         assert homomorphism_counts(random_graph(rng)).width == 31
+
+    def test_subset_in_given_order(self, rng):
+        g = random_graph(rng, max_n=8)
+        full = count_all_patterns(g)
+        picked = [30, 1, 17, 1, 4]
+        assert count_patterns(g, picked) == [full[i] for i in picked]
+        assert count_patterns(g, []) == []
+
+    def test_small_chunks(self, rng, monkeypatch):
+        # Steps then extend rows a few candidates at a time and merge
+        # partial sums across chunks.
+        monkeypatch.setattr(homcount, "_CHUNK_ROWS", 5)
+        for g in [erdos_renyi(12, 0.5, rng) for _ in range(3)] + [star_graph(9)]:
+            a = adjacency_matrix(g)
+            want = [count_homomorphisms_einsum(p.n_vertices, p.edges, a) for p in PATTERN_CATALOG]
+            assert count_all_patterns(g) == want
+
+    @pytest.mark.parametrize("n", [1000, 2**21 + 1])
+    def test_merge_duplicate_rows(self, n):
+        # n**3 > 2**63 - 1 for n > 2**21, so three-column keys of such a
+        # host are merged by lexsort instead of base-n codes.
+        step = n // 4
+        keys = np.array([[1, 1, 0], [3, 0, 2], [0, 1, 0], [2, 1, 0], [1, 1, 0], [3, 0, 2], [0, 0, 3]])
+        merged_keys, merged_counts = homcount._sum_duplicates(keys * step, np.arange(1, 8), n)
+        # rows 2-4 of the result differ in their first column only
+        want = [[0, 0, 3], [0, 1, 0], [1, 1, 0], [2, 1, 0], [3, 0, 2]]
+        assert merged_keys.tolist() == (np.array(want) * step).tolist()
+        assert merged_counts.tolist() == [7, 3, 1 + 5, 4, 2 + 6]
+
+        keys = np.random.default_rng(0).integers(0, 4, size=(200, 3)) * step
+        merged_keys, merged_counts = homcount._sum_duplicates(keys, np.ones(200, dtype=np.int64), n)
+        distinct, multiplicity = np.unique(keys, axis=0, return_counts=True)
+        assert merged_keys.tolist() == distinct.tolist()
+        assert merged_counts.tolist() == multiplicity.tolist()
+
+
+@st.composite
+def hom_hosts(draw, max_n):
+    """Simple graphs on 0..max_n vertices whose edges join vertices of the
+    same drawn block only, so edgeless graphs, isolated vertices and
+    several components all occur."""
+    n = draw(st.integers(0, max_n))
+    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if block[u] == block[v]]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, c in zip(pairs, chosen) if c])
+
+
+class TestHomomorphismOracleProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(hom_hosts(max_n=14))
+    def test_matches_einsum(self, g):
+        a = adjacency_matrix(g)
+        want = [count_homomorphisms_einsum(p.n_vertices, p.edges, a) for p in PATTERN_CATALOG]
+        assert count_all_patterns(g) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(hom_hosts(max_n=5))
+    def test_matches_exhaustive(self, g):
+        want = [
+            count_homomorphisms_exhaustive(p.n_vertices, p.edges, g.n_vertices, g.edges)
+            for p in PATTERN_CATALOG
+        ]
+        assert count_all_patterns(g) == want
+
+
+def tree_sides(p):
+    """Sizes of the two colour classes of a tree pattern, smaller first."""
+    colour = {0: 0}
+    while len(colour) < p.n_vertices:
+        for u, v in p.edges:
+            if (u in colour) != (v in colour):
+                w, c = (v, colour[u]) if u in colour else (u, colour[v])
+                colour[w] = 1 - c
+    ones = sum(colour.values())
+    return tuple(sorted((p.n_vertices - ones, ones)))
+
+
+class TestHomomorphismOverflow:
+    """On the star K_{1,D} with D = 56000, K_{1,4} has D**4 + D > 2**63 - 1
+    homomorphisms. A pattern with a cycle needs a table of about D**2 leaf
+    pairs on this host, so only the eight tree patterns are counted here:
+    a tree with colour classes of sizes a and b maps to the star in
+    D**a + D**b ways (D + 1 for the single vertex)."""
+
+    D = 56000
+    TREES = [i for i, p in enumerate(PATTERN_CATALOG) if len(p.edges) == p.n_vertices - 1]
+
+    @pytest.fixture(scope="class")
+    def star(self):
+        return star_graph(self.D)
+
+    def test_tree_counts_exact_past_int64(self, star):
+        sides = [tree_sides(PATTERN_CATALOG[i]) for i in self.TREES]
+        want = [self.D + 1] + [self.D**a + self.D**b for a, b in sides[1:]]
+        got = count_patterns(star, self.TREES)
+        assert got == want
+        assert got[sides.index((1, 1))] == 2 * self.D
+        assert got[sides.index((1, 4))] == self.D**4 + self.D > 2**63 - 1
+
+    def test_reported_as_failed(self, star, monkeypatch):
+        monkeypatch.setattr(topo, "count_all_patterns", lambda g: count_patterns(g, self.TREES))
+        iv = homomorphism_counts(star)
+        assert iv.status == "failed: count exceeds 64-bit range"
+        assert iv.width == 31 and np.all(np.isnan(iv.values))
 
 
 class TestFormanRicci:

@@ -20,9 +20,12 @@ def linprog_w1(mu, nu, cost):
         a_eq[i, i * n : (i + 1) * n] = 1.0
     for j in range(n):
         a_eq[m + j, j::n] = 1.0
+    # HiGHS stops at a 1e-7 primal and dual infeasibility by default,
+    # which misprices masses and cost gaps below that scale.
     res = linprog(
         cost.reshape(-1), A_eq=a_eq, b_eq=np.concatenate([mu, nu]),
         bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.success
     return float(res.fun)
@@ -84,15 +87,26 @@ class TestWasserstein:
             )
             assert got == pytest.approx(float(want), abs=1e-9)
 
+    def test_tiny_mass_moved_at_unit_cost(self):
+        # 2e-9 of mass must cross at cost 1. At the default 1e-7 HiGHS
+        # tolerances the linprog oracle returned -2e-9 here.
+        mu = np.array([0.5 - 2e-9, 0.5 + 2e-9])
+        nu = np.array([0.5, 0.5])
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        want = linprog_w1(mu, nu, cost)
+        assert want == pytest.approx(2e-9, rel=1e-6)
+        assert wasserstein_1(mu, nu, cost) == pytest.approx(want, rel=1e-9)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             wasserstein_1(np.ones(2) / 2, np.ones(2) / 2, np.ones((3, 2)))
 
 
 # Masses are integer weights over their total and float costs lie on a
-# 1e-3 grid, so that distinct basic solutions and reduced costs stay far
-# above the 1e-7 tolerances of HiGHS, the linprog oracle, which otherwise
-# stops short on masses or cost differences below them.
+# 1e-3 grid, so that masses and reduced costs stay far above the 1e-10
+# tolerances of HiGHS, the linprog oracle. With unrestricted floats it
+# misprices or rejects instances at that scale: masses (0, 1, 8e-11,
+# 8e-11) against six masses of 1/6 come back infeasible.
 @st.composite
 def measure(draw, size):
     """Exact zeros, uniform measures and point masses all occur."""
