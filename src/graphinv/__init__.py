@@ -13,7 +13,6 @@ from .graph import (  # noqa: F401
     degree_vector,
     load_jsonl,
     make_graph,
-    parse_edge_list,
     parse_jsonl_dataset,
 )
 from .registry import RegimeConfig, build_catalog, fingerprint, fingerprint_dataset  # noqa: F401

@@ -1,15 +1,17 @@
-"""Graph data model, parsers, and traversal primitives.
+"""Graph data model, the JSON-lines parser, and traversal primitives.
 
 Graphs are finite, undirected, without self-loops. Vertices are dense
 0-based integers; edges are stored canonically as a sorted tuple of
 ``(u, v)`` pairs with ``u < v``. Instances are immutable after
 construction and safe to share across threads.
+
+There is one traversal: ``bfs_all_pairs`` searches from every vertex at
+once, and ``connected_components`` is read off its distance matrix.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -109,13 +111,6 @@ def make_graph(
     return Graph(n_vertices, edge_tuple, nf, ef, id=id, label=label)
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """All-pairs shortest-path distances with UNREACHABLE sentinel entries."""
-
-    dist: np.ndarray  # (n, n) int64
-
-
 @dataclass(frozen=True)
 class GraphDataset:
     """Ordered collection of graphs with unique ids."""
@@ -141,49 +136,7 @@ def _dataset(graphs: Iterable[Graph], name: str) -> GraphDataset:
 
 
 # ---------------------------------------------------------------------------
-# Parsers
-
-
-def parse_edge_list(text: str | bytes, id: str = "") -> Graph:
-    """Parse an edge list: lines of ``u v`` with an optional ``n <count>`` header.
-
-    Without the header, the vertex count is inferred as max id + 1, so
-    isolated vertices survive only via the header.
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-
-    n_declared: int | None = None
-    edges: list[tuple[int, int]] = []
-    max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if n_declared is not None or edges:
-                raise GraphDataError(f"line {lineno}: stray header {line!r}")
-            try:
-                n_declared = int(parts[1])
-            except (IndexError, ValueError):
-                raise GraphDataError(f"line {lineno}: malformed header {line!r}") from None
-            continue
-        try:
-            u, v = (int(p) for p in parts)
-        except ValueError:
-            raise GraphDataError(f"line {lineno}: malformed edge {line!r}") from None
-        if u == v:
-            raise GraphDataError(f"line {lineno}: self-loop at vertex {u}")
-        if u < 0 or v < 0:
-            raise GraphDataError(f"line {lineno}: negative vertex id in {line!r}")
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
-
-    n = n_declared if n_declared is not None else max_id + 1
-    if max_id >= n:
-        raise GraphDataError(f"vertex id {max_id} exceeds declared count {n}")
-    return make_graph(n, edges, id=id)
+# JSON-lines parser and its inverse
 
 
 def graph_from_obj(obj: dict, default_id: str) -> Graph:
@@ -250,7 +203,7 @@ def graph_to_obj(g: Graph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Traversal primitives (cached per Graph instance; results are read-only)
+# Adjacency and traversal (cached per Graph instance; results are read-only)
 
 
 @lru_cache(maxsize=64)
@@ -293,45 +246,43 @@ def incidence_matrix(g: Graph) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def bfs_all_pairs(g: Graph) -> DistanceMatrix:
-    """Exact unweighted all-pairs shortest paths via BFS from every vertex."""
+def bfs_all_pairs(g: Graph) -> np.ndarray:
+    """Exact unweighted all-pairs shortest paths, an (n, n) int64 matrix
+    with UNREACHABLE between components.
+
+    One breadth-first search runs from every vertex at once: row i of the
+    frontier holds the vertices at the current distance from i, and one
+    product with the adjacency matrix per level reaches the next ones.
+    """
     n = g.n_vertices
-    nbrs = [sorted(s) for s in adjacency_sets(g)]
+    a = adjacency_matrix(g)
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in nbrs[u]:
-                if row[w] == UNREACHABLE:
-                    row[w] = du + 1
-                    queue.append(w)
-    return DistanceMatrix(_freeze(dist))
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(n)
+    level = 0
+    while frontier.any():
+        level += 1
+        reached = (frontier @ a > 0) & (dist == UNREACHABLE)
+        dist[reached] = level
+        frontier = reached.astype(np.float64)
+    return _freeze(dist)
 
 
 @lru_cache(maxsize=64)
 def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Component count and a per-vertex component label (labels by first-seen order)."""
+    """Component count and a per-vertex component label.
+
+    Labels number the components in the order a scan over the vertices
+    first meets them. Each row's smallest reachable vertex names its
+    component; the roots are the vertices that name their own.
+    """
     n = g.n_vertices
-    nbrs = adjacency_sets(g)
-    labels = [-1] * n
-    count = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in nbrs[u]:
-                if labels[w] == -1:
-                    labels[w] = count
-                    queue.append(w)
-        count += 1
-    return count, tuple(labels)
+    vertices = np.arange(n)
+    reach = bfs_all_pairs(g) != UNREACHABLE
+    # initial=n keeps the empty graph valid (no row to reduce).
+    first = np.where(reach, vertices, n).min(axis=1, initial=n)
+    roots = np.flatnonzero(first == vertices)
+    return int(roots.size), tuple(np.searchsorted(roots, first).tolist())
 
 
 def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:

@@ -18,6 +18,7 @@ from ..linalg import (
     NumericalError,
     laplacian_spectrum,
     normalized_laplacian_spectrum,
+    spectrum_log_pseudo_determinant,
 )
 from . import InvariantValue, value_failed, value_ok
 
@@ -40,7 +41,7 @@ def circuit_rank(g: Graph) -> InvariantValue:
 def _eccentricities(g: Graph) -> np.ndarray:
     # Per-component convention: eccentricity over finite distances only,
     # so disconnected inputs stay finite instead of poisoning the vector.
-    dist = bfs_all_pairs(g).dist
+    dist = bfs_all_pairs(g)
     masked = np.where(dist == UNREACHABLE, 0, dist)
     return masked.max(axis=1) if g.n_vertices else np.zeros(0)
 
@@ -106,10 +107,7 @@ def _log_spanning_trees(g: Graph) -> float | None:
     n_connect, _ = connected_components(g)
     if g.n_vertices == 0 or n_connect != 1:
         return None
-    lam = laplacian_spectrum(g)
-    tol = 1e-10 * max(float(lam[-1]) if lam.size else 1.0, 1.0)
-    nonzero = lam[lam > tol]
-    return float(np.sum(np.log(nonzero)) - np.log(g.n_vertices))
+    return float(spectrum_log_pseudo_determinant(laplacian_spectrum(g)) - np.log(g.n_vertices))
 
 
 def spanning_tree_count(g: Graph) -> InvariantValue:

@@ -18,7 +18,7 @@ DEFAULT_RANDIC_EXPONENTS = (-1.0, 0.5)
 
 
 def _finite_dist(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    dist = bfs_all_pairs(g).dist
+    dist = bfs_all_pairs(g)
     finite = dist != UNREACHABLE
     return np.where(finite, dist, 0).astype(np.float64), finite
 
@@ -109,7 +109,7 @@ def gutman(g: Graph) -> InvariantValue:
 def szeged(g: Graph) -> InvariantValue:
     """Per edge, count vertices strictly closer to each endpoint;
     equidistant and unreachable vertices count for neither side."""
-    dist = bfs_all_pairs(g).dist
+    dist = bfs_all_pairs(g)
     total = 0.0
     for u, v in g.edges:
         du, dv = dist[u], dist[v]

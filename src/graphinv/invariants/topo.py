@@ -44,7 +44,7 @@ def magnitude(g: Graph, q: float = DEFAULT_MAGNITUDE_Q) -> InvariantValue:
     n = g.n_vertices
     if n == 0:
         return value_ok(name, 0.0)
-    dist = bfs_all_pairs(g).dist
+    dist = bfs_all_pairs(g)
     z = np.where(dist == UNREACHABLE, 0.0, np.power(q, dist, dtype=np.float64))
     try:
         x = solve_linear(sym_matrix(z), np.ones(n))
@@ -151,7 +151,7 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
     if g.n_edges == 0:
         raise ValueError("Ollivier curvature needs at least one edge")
     nbrs = adjacency_sets(g)
-    dist = bfs_all_pairs(g).dist
+    dist = bfs_all_pairs(g)
     values = np.empty(g.n_edges)
     for e, (u, v) in enumerate(g.edges):
         sup_u, mu = _lazy_walk_measure(u, nbrs, alpha)

@@ -84,16 +84,21 @@ def pseudoinverse(m: SymMatrix, rank_tol: float | None = None) -> SymMatrix:
     return sym_matrix((vec * inv) @ vec.T)
 
 
-def log_pseudo_determinant(m: SymMatrix, rank_tol: float | None = None) -> float:
-    """log |pseudo-determinant|, computed as a sum of logs (overflow-safe).
+def spectrum_log_pseudo_determinant(lam: np.ndarray, rank_tol: float | None = None) -> float:
+    """log |pseudo-determinant| from the eigenvalues ``lam``: the sum of the
+    logs of those with ``|lam| > rank_tol`` (overflow-safe).
 
-    Only valid for positive-semidefinite input, where the retained
+    Only valid for positive-semidefinite spectra, where the retained
     eigenvalues are positive.
     """
-    lam = eigenvalues_sym(m)
     tol = default_rank_tol(lam) if rank_tol is None else rank_tol
     keep = lam[np.abs(lam) > tol]
     return float(np.sum(np.log(keep))) if keep.size else 0.0
+
+
+def log_pseudo_determinant(m: SymMatrix, rank_tol: float | None = None) -> float:
+    """log |pseudo-determinant| of a positive-semidefinite matrix."""
+    return spectrum_log_pseudo_determinant(eigenvalues_sym(m), rank_tol)
 
 
 def solve_linear(m: SymMatrix, rhs: np.ndarray) -> np.ndarray:

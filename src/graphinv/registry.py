@@ -26,9 +26,6 @@ SCHEMA_VERSION = "1"
 REGIMES = ("full", "reduced")
 SUBSETS = ("I", "S")
 
-#: Reduced-regime exclusions: too expensive or unstable at scale.
-REDUCED_EXCLUDED = ("analytic_torsion", "homomorphism_counts", "estrada")
-
 #: Expressive subsets per regime, in their normative order.
 EXPRESSIVE_SUBSETS = {
     "full": (

@@ -128,7 +128,7 @@ def test_c2_oracle_equivalence(rng):
                 continue
             checked += 1
             nbrs = adjacency_sets(g)
-            dmat = bfs_all_pairs(g).dist
+            dmat = bfs_all_pairs(g)
             got = ollivier_ricci(g, alpha=0.5)
             for e, (u, v) in enumerate(g.edges):
                 mu = [Fraction(1, 2)] + [Fraction(1, 2 * int(deg[u]))] * int(deg[u])

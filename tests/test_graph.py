@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from graphinv.graph import (
     Graph,
@@ -12,7 +13,6 @@ from graphinv.graph import (
     connected_components,
     degree_vector,
     make_graph,
-    parse_edge_list,
     parse_jsonl_dataset,
     relabel,
 )
@@ -27,35 +27,8 @@ from conftest import (
     star_graph,
     two_triangles,
 )
-from oracles import floyd_warshall
-
-
-class TestParseEdgeList:
-    def test_header(self):
-        g = parse_edge_list("n 3\n0 1\n1 2")
-        assert g.n_vertices == 3
-        assert g.edges == ((0, 1), (1, 2))
-
-    def test_dedup_reversed(self):
-        g = parse_edge_list("0 1\n1 0")
-        assert g.n_vertices == 2
-        assert g.edges == ((0, 1),)
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(GraphDataError, match="self-loop at vertex 0"):
-            parse_edge_list("0 0")
-
-    def test_malformed_line_number(self):
-        with pytest.raises(GraphDataError, match="line 2"):
-            parse_edge_list("0 1\nnope")
-
-    def test_isolated_vertices_via_header(self):
-        g = parse_edge_list("n 5\n0 1")
-        assert g.n_vertices == 5
-        assert degree_vector(g).tolist() == [1, 1, 0, 0, 0]
-
-    def test_bytes_input(self):
-        assert parse_edge_list(b"0 1\n").n_edges == 1
+from strategies import block_graphs
+from oracles import components, floyd_warshall
 
 
 class TestParseJsonl:
@@ -95,22 +68,22 @@ class TestParseJsonl:
 
 class TestDistances:
     def test_path(self):
-        d = bfs_all_pairs(path_graph(4)).dist
+        d = bfs_all_pairs(path_graph(4))
         assert d[0, 3] == 3
 
     def test_disconnected(self):
-        d = bfs_all_pairs(two_triangles()).dist
+        d = bfs_all_pairs(two_triangles())
         assert d[0, 3] == UNREACHABLE
 
     def test_complete(self):
-        d = bfs_all_pairs(complete_graph(4)).dist
+        d = bfs_all_pairs(complete_graph(4))
         off = d[~np.eye(4, dtype=bool)]
         assert (off == 1).all()
 
     def test_against_floyd_warshall(self, rng):
         for _ in range(50):
             g = random_graph(rng, max_n=10)
-            got = bfs_all_pairs(g).dist
+            got = bfs_all_pairs(g)
             want = floyd_warshall(g.n_vertices, g.edges)
             for i in range(g.n_vertices):
                 for j in range(g.n_vertices):
@@ -121,9 +94,36 @@ class TestDistances:
         for _ in range(20):
             g = random_graph(rng, max_n=9)
             h = relabel(g, random_permutation(g.n_vertices, rng))
-            a = sorted(bfs_all_pairs(g).dist.reshape(-1).tolist())
-            b = sorted(bfs_all_pairs(h).dist.reshape(-1).tolist())
+            a = sorted(bfs_all_pairs(g).reshape(-1).tolist())
+            b = sorted(bfs_all_pairs(h).reshape(-1).tolist())
             assert a == b
+
+
+class TestTraversalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(block_graphs(max_n=14))
+    def test_distances_match_floyd_warshall(self, g):
+        want = [
+            [UNREACHABLE if d == math.inf else int(d) for d in row]
+            for row in floyd_warshall(g.n_vertices, g.edges)
+        ]
+        got = bfs_all_pairs(g)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.shape == (g.n_vertices, g.n_vertices)
+        assert got.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_graphs(max_n=14))
+    def test_components_match_union_find(self, g):
+        groups = sorted(components(g.n_vertices, g.edges), key=min)
+        label = {v: k for k, group in enumerate(groups) for v in group}
+        want = tuple(label[v] for v in range(g.n_vertices))
+        assert connected_components(g) == (len(groups), want)
+
+    def test_empty_graph(self):
+        g = make_graph(0, [])
+        assert connected_components(g) == (0, ())
+        assert bfs_all_pairs(g).shape == (0, 0)
 
 
 class TestComponentsAndDegrees:

@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from graphinv.graph import adjacency_matrix, degree_vector, make_graph, relabel
+from graphinv.graph import adjacency_matrix, degree_vector, relabel
 from graphinv.invariants import homcount, topo
 from graphinv.invariants.homcount import count_all_patterns, count_patterns
 from graphinv.invariants.patterns import PATTERN_CATALOG, canonical_form
@@ -37,6 +36,7 @@ from conftest import (
     random_permutation,
     star_graph,
 )
+from strategies import block_graphs
 from oracles import (
     commute_time_simulation,
     count_homomorphisms_einsum,
@@ -99,7 +99,7 @@ class TestMagnitude:
         q = DEFAULT_MAGNITUDE_Q
         for _ in range(25):
             g = random_graph(rng, max_n=10)
-            dist = bfs_all_pairs(g).dist
+            dist = bfs_all_pairs(g)
             z = np.where(dist == UNREACHABLE, 0.0, q ** dist.astype(np.float64))
             expected = float(np.linalg.inv(z).sum())
             assert val(magnitude(g)) == pytest.approx(expected, rel=1e-8)
@@ -222,28 +222,16 @@ class TestHomomorphismCounts:
         assert merged_counts.tolist() == multiplicity.tolist()
 
 
-@st.composite
-def hom_hosts(draw, max_n):
-    """Simple graphs on 0..max_n vertices whose edges join vertices of the
-    same drawn block only, so edgeless graphs, isolated vertices and
-    several components all occur."""
-    n = draw(st.integers(0, max_n))
-    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if block[u] == block[v]]
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return make_graph(n, [e for e, c in zip(pairs, chosen) if c])
-
-
 class TestHomomorphismOracleProperties:
     @settings(max_examples=100, deadline=None)
-    @given(hom_hosts(max_n=14))
+    @given(block_graphs(max_n=14))
     def test_matches_einsum(self, g):
         a = adjacency_matrix(g)
         want = [count_homomorphisms_einsum(p.n_vertices, p.edges, a) for p in PATTERN_CATALOG]
         assert count_all_patterns(g) == want
 
     @settings(max_examples=40, deadline=None)
-    @given(hom_hosts(max_n=5))
+    @given(block_graphs(max_n=5))
     def test_matches_exhaustive(self, g):
         want = [
             count_homomorphisms_exhaustive(p.n_vertices, p.edges, g.n_vertices, g.edges)
@@ -357,7 +345,7 @@ class TestOllivierRicci:
                 continue
             checked += 1
             nbrs = adjacency_sets(g)
-            dmat = bfs_all_pairs(g).dist
+            dmat = bfs_all_pairs(g)
             got = ollivier_ricci(g, alpha=0.5)
             for e, (u, v) in enumerate(g.edges):
                 sup_u = [u] + sorted(nbrs[u])
