@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, GraphDataError, graph_from_obj, make_graph
+from .graph import Graph, GraphDataError, graph_from_obj, make_graph, read_jsonl
 from .registry import InvariantDescriptor, fingerprint, write_csv
 
 
@@ -165,24 +165,14 @@ def export_report_json(report: DifferentiationReport, path: str | Path) -> None:
 def parse_pairs_jsonl(stream) -> list[GraphPair]:
     """Pairs file: one JSON object {pair_id, category, left, right} per line,
     where left/right follow the dataset graph schema."""
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        stream = stream.splitlines()
     pairs = []
-    for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, obj in read_jsonl(stream, prefix="pairs line"):
+        pair_id = str(obj.get("pair_id", f"pair{lineno - 1}"))
+        category = str(obj.get("category", "Uncategorized"))
         try:
-            obj = json.loads(line)
-            pair_id = str(obj.get("pair_id", f"pair{lineno - 1}"))
-            category = str(obj.get("category", "Uncategorized"))
             left = graph_from_obj(obj["left"], default_id=f"{pair_id}.left")
             right = graph_from_obj(obj["right"], default_id=f"{pair_id}.right")
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except KeyError as exc:
             raise GraphDataError(f"pairs line {lineno}: malformed record ({exc})") from None
         pairs.append(GraphPair(left, right, category, pair_id))
     return pairs

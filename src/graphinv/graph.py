@@ -11,9 +11,9 @@ once, and ``connected_components`` is read off its distance matrix.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -139,7 +139,33 @@ def _dataset(graphs: Iterable[Graph], name: str) -> GraphDataset:
 # JSON-lines parser and its inverse
 
 
+def read_jsonl(stream: IO | str | bytes, prefix: str = "line") -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, obj)`` for every non-blank line of a JSON-lines
+    text, file or byte string, numbered from 1. A line that is not valid
+    JSON, or not a JSON object, raises :class:`GraphDataError` whose
+    message starts with ``f"{prefix} {lineno}"``."""
+    if isinstance(stream, bytes):
+        stream = stream.decode("utf-8")
+    if isinstance(stream, str):
+        stream = stream.splitlines()
+    for lineno, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise GraphDataError(f"{prefix} {lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise GraphDataError(f"{prefix} {lineno}: not a JSON object")
+        yield lineno, obj
+
+
 def graph_from_obj(obj: dict, default_id: str) -> Graph:
+    if not isinstance(obj, dict):
+        raise GraphDataError(f"graph {default_id!r}: not a JSON object")
     gid = str(obj.get("id", default_id))
     try:
         n = int(obj["num_nodes"])
@@ -161,25 +187,7 @@ def graph_from_obj(obj: dict, default_id: str) -> Graph:
 
 def parse_jsonl_dataset(stream: IO | str | bytes, name: str = "") -> GraphDataset:
     """Parse a JSON-lines dataset, one graph object per line, preserving order."""
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        lines: Iterable[str] = stream.splitlines()
-    else:
-        lines = stream
-
-    graphs = []
-    for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise GraphDataError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        graphs.append(graph_from_obj(obj, default_id=f"g{lineno - 1}"))
+    graphs = [graph_from_obj(obj, default_id=f"g{lineno - 1}") for lineno, obj in read_jsonl(stream)]
     return _dataset(graphs, name=name)
 
 
@@ -203,10 +211,15 @@ def graph_to_obj(g: Graph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Adjacency and traversal (cached per Graph instance; results are read-only)
+# Adjacency and traversal (held for one graph at a time; results are read-only)
+
+#: The cache of every function of one graph, keyed by its identity. Each
+#: command finishes a graph before it starts the next, so one slot gets
+#: every hit that more slots would, and holds one graph's matrices only.
+per_graph = functools.lru_cache(maxsize=1)
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def adjacency_sets(g: Graph) -> tuple[frozenset[int], ...]:
     """Neighbour sets per vertex."""
     nbrs: list[set[int]] = [set() for _ in range(g.n_vertices)]
@@ -216,7 +229,7 @@ def adjacency_sets(g: Graph) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(s) for s in nbrs)
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix (float64)."""
     a = np.zeros((g.n_vertices, g.n_vertices))
@@ -226,7 +239,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return _freeze(a)
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def degree_vector(g: Graph) -> np.ndarray:
     """Vertex degrees (int64); sums to 2 * n_edges."""
     deg = np.zeros(g.n_vertices, dtype=np.int64)
@@ -245,7 +258,7 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     return b
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def bfs_all_pairs(g: Graph) -> np.ndarray:
     """Exact unweighted all-pairs shortest paths, an (n, n) int64 matrix
     with UNREACHABLE between components.
@@ -268,7 +281,7 @@ def bfs_all_pairs(g: Graph) -> np.ndarray:
     return _freeze(dist)
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Component count and a per-vertex component label.
 

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from ..graph import Graph, UNREACHABLE, adjacency_matrix, adjacency_sets, bfs_all_pairs, degree_vector
+from ..graph import Graph, UNREACHABLE, adjacency_matrix, adjacency_sets, bfs_all_pairs, degree_vector, per_graph
 from ..linalg import (
     NumericalError,
     SingularMatrixError,
@@ -121,7 +121,7 @@ def edge_distribution(values: np.ndarray) -> EdgeDistribution:
     return EdgeDistribution(values, mean, variance, skewness, kurtosis)
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def forman_ricci(g: Graph) -> EdgeDistribution:
     """Combinatorial edge curvature 4 - (deg(i) + deg(j))."""
     if g.n_edges == 0:
@@ -142,7 +142,7 @@ def _lazy_walk_measure(vertex: int, nbrs, alpha: float) -> tuple[list[int], np.n
     return support, weights
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistribution:
     """Per-edge curvature 1 - W_1(mu_i, mu_j) of the lazy random walk with
     laziness `alpha`, with exact transport on the endpoint neighbourhoods."""
@@ -212,19 +212,31 @@ def commute_time_max(g: Graph) -> InvariantValue:
         return value_failed(name, 1, str(exc))
 
 
+@per_graph
+def _neighbourhood_traces(g: Graph) -> MappingProxyType[tuple[int, bool], float]:
+    """Sums over vertices of tr(A_N^4) and tr(A_N^8), with A_N the
+    adjacency matrix induced on the open and on the closed neighbourhood
+    N of the vertex, keyed by (p, closed). A_N is symmetric, so
+    tr(A_N^4) = ||A_N^2||_F^2 and tr(A_N^8) = ||A_N^4||_F^2."""
+    a = adjacency_matrix(g)
+    totals = {(p, closed): 0.0 for closed in (False, True) for p in POWER_TRACE_EXPONENTS}
+    for i in range(g.n_vertices):
+        member = a[i] != 0
+        for closed in (False, True):
+            member[i] = closed
+            idx = np.flatnonzero(member)
+            sub = a[np.ix_(idx, idx)]
+            sq = sub @ sub
+            fourth = sq @ sq
+            totals[4, closed] += float(np.vdot(sq, sq))
+            totals[8, closed] += float(np.vdot(fourth, fourth))
+    return MappingProxyType(totals)
+
+
 def neighbourhood_power_trace(g: Graph, p: int, closed: bool = False) -> InvariantValue:
     """Sum over vertices of tr((A restricted to the neighbourhood)^p),
     using the closed neighbourhood N[i] when `closed`."""
     name = f"neighbourhood_trace_{'closed' if closed else 'open'}_p{p}"
     if p not in POWER_TRACE_EXPONENTS:
         raise ValueError(f"power-trace exponent must be one of {POWER_TRACE_EXPONENTS}")
-    a = adjacency_matrix(g)
-    nbrs = adjacency_sets(g)
-    total = 0.0
-    for i in range(g.n_vertices):
-        idx = sorted(nbrs[i] | {i}) if closed else sorted(nbrs[i])
-        if not idx:
-            continue
-        sub = a[np.ix_(idx, idx)]
-        total += float(np.trace(np.linalg.matrix_power(sub, p)))
-    return value_ok(name, total)
+    return value_ok(name, _neighbourhood_traces(g)[p, closed])

@@ -9,11 +9,10 @@ input bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, degree_vector
+from .graph import Graph, adjacency_matrix, degree_vector, per_graph
 
 
 class NumericalError(RuntimeError):
@@ -125,14 +124,13 @@ def solve_linear(m: SymMatrix, rhs: np.ndarray) -> np.ndarray:
 # Graph matrices
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def laplacian(g: Graph) -> SymMatrix:
     """Unnormalized Laplacian D - A."""
     a = adjacency_matrix(g)
     return sym_matrix(np.diag(degree_vector(g).astype(np.float64)) - a)
 
 
-@lru_cache(maxsize=64)
 def normalized_laplacian(g: Graph) -> SymMatrix:
     """Symmetrically normalized Laplacian D^{-1/2} (D - A) D^{-1/2}.
 
@@ -145,16 +143,16 @@ def normalized_laplacian(g: Graph) -> SymMatrix:
     return sym_matrix(lap * np.outer(inv_sqrt, inv_sqrt))
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def normalized_laplacian_spectrum(g: Graph) -> np.ndarray:
     return eigenvalues_sym(normalized_laplacian(g))
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def laplacian_spectrum(g: Graph) -> np.ndarray:
     return eigenvalues_sym(laplacian(g))
 
 
-@lru_cache(maxsize=64)
+@per_graph
 def laplacian_pseudoinverse(g: Graph) -> SymMatrix:
     return pseudoinverse(laplacian(g))

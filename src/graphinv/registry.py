@@ -87,110 +87,96 @@ class RegimeConfig:
 
 @dataclass(frozen=True)
 class InvariantDescriptor:
-    """One catalog entry: a named fixed-width invariant and its scope."""
+    """One catalog entry: a named fixed-width invariant."""
 
     name: str
     width: int
-    regimes: frozenset[str]
     compute: Callable[[Graph], InvariantValue]
 
 
 def _master_catalog(config: RegimeConfig) -> list[InvariantDescriptor]:
-    both = frozenset(REGIMES)
-    full_only = frozenset({"full"})
+    """The catalog of ``config.regime`` in its normative order. Only the
+    full regime has analytic torsion, the homomorphism counts and the
+    Estrada index; the reduced one has the log spanning-tree count."""
+    full = config.regime == "full"
     k = config.spectrum_k
 
     entries: list[InvariantDescriptor] = [
-        InvariantDescriptor("num_vertices", 1, both, basic.num_vertices),
-        InvariantDescriptor("num_edges", 1, both, basic.num_edges),
-        InvariantDescriptor("circuit_rank", 1, both, basic.circuit_rank),
-        InvariantDescriptor("diameter", 1, both, basic.diameter),
-        InvariantDescriptor("radius", 1, both, basic.radius),
-        InvariantDescriptor("transitivity", 1, both, basic.transitivity),
-        InvariantDescriptor("density", 1, both, basic.density),
+        InvariantDescriptor("num_vertices", 1, basic.num_vertices),
+        InvariantDescriptor("num_edges", 1, basic.num_edges),
+        InvariantDescriptor("circuit_rank", 1, basic.circuit_rank),
+        InvariantDescriptor("diameter", 1, basic.diameter),
+        InvariantDescriptor("radius", 1, basic.radius),
+        InvariantDescriptor("transitivity", 1, basic.transitivity),
+        InvariantDescriptor("density", 1, basic.density),
         InvariantDescriptor(
-            "laplacian_spectrum_block", 2 * k, both,
+            "laplacian_spectrum_block", 2 * k,
             lambda g, k=k: basic.laplacian_spectrum_block(g, k),
         ),
-        InvariantDescriptor("algebraic_connectivity", 1, both, basic.algebraic_connectivity),
-    ]
-    if config.regime == "reduced":
+        InvariantDescriptor("algebraic_connectivity", 1, basic.algebraic_connectivity),
         # Reduced regime swaps in the log to avoid overflow on large graphs.
-        entries.append(
+        InvariantDescriptor("spanning_tree_count", 1, basic.spanning_tree_count) if full
+        else InvariantDescriptor("spanning_tree_count_log", 1, basic.spanning_tree_count_log),
+        InvariantDescriptor("degree_mean_ratio", 1, basic.degree_mean_ratio),
+        InvariantDescriptor("degree_entropy", 1, entropy.degree_entropy),
+        InvariantDescriptor("von_neumann_entropy", 1, entropy.von_neumann_entropy),
+        InvariantDescriptor("kolmogorov_proxy", 1, entropy.kolmogorov_proxy),
+        InvariantDescriptor("magnitude", 1, lambda g, q=config.q: topo.magnitude(g, q)),
+    ]
+    if full:
+        entries += [
             InvariantDescriptor(
-                "spanning_tree_count_log", 1, frozenset({"reduced"}),
-                basic.spanning_tree_count_log,
-            )
-        )
-    else:
-        entries.append(
-            InvariantDescriptor("spanning_tree_count", 1, full_only, basic.spanning_tree_count)
-        )
+                "analytic_torsion", 1,
+                lambda g, d=config.torsion_dim: topo.analytic_torsion(g, d),
+            ),
+            InvariantDescriptor(
+                "homomorphism_counts", topo.N_PATTERNS,
+                lambda g, log1p=config.hom_log1p: topo.homomorphism_counts(g, log1p),
+            ),
+        ]
     entries += [
-        InvariantDescriptor("degree_mean_ratio", 1, both, basic.degree_mean_ratio),
-        InvariantDescriptor("degree_entropy", 1, both, entropy.degree_entropy),
-        InvariantDescriptor("von_neumann_entropy", 1, both, entropy.von_neumann_entropy),
-        InvariantDescriptor("kolmogorov_proxy", 1, both, entropy.kolmogorov_proxy),
-        InvariantDescriptor("magnitude", 1, both, lambda g, q=config.q: topo.magnitude(g, q)),
         InvariantDescriptor(
-            "analytic_torsion", 1, full_only,
-            lambda g, d=config.torsion_dim: topo.analytic_torsion(g, d),
-        ),
+            f"{which}_ricci_{moment}", 1,
+            lambda g, w=which, m=moment, a=config.alpha: topo.curvature_moment(g, w, m, a),
+        )
+        for which in ("forman", "ollivier")
+        for moment in ("mean", "variance", "skewness", "kurtosis")
+    ]
+    entries += [
+        InvariantDescriptor("commute_time_mean", 1, topo.commute_time_mean),
+        InvariantDescriptor("commute_time_max", 1, topo.commute_time_max),
+    ]
+    entries += [
         InvariantDescriptor(
-            "homomorphism_counts", topo.N_PATTERNS, full_only,
-            lambda g, log1p=config.hom_log1p: topo.homomorphism_counts(g, log1p),
-        ),
-    ]
-    for moment in ("mean", "variance", "skewness", "kurtosis"):
-        entries.append(
-            InvariantDescriptor(
-                f"forman_ricci_{moment}", 1, both,
-                lambda g, m=moment: topo.curvature_moment(g, "forman", m),
-            )
+            f"neighbourhood_trace_{'closed' if c else 'open'}_p{p}", 1,
+            lambda g, p=p, c=c: topo.neighbourhood_power_trace(g, p, c),
         )
-    for moment in ("mean", "variance", "skewness", "kurtosis"):
-        entries.append(
-            InvariantDescriptor(
-                f"ollivier_ricci_{moment}", 1, both,
-                lambda g, m=moment, a=config.alpha: topo.curvature_moment(g, "ollivier", m, a),
-            )
-        )
-    entries += [
-        InvariantDescriptor("commute_time_mean", 1, both, topo.commute_time_mean),
-        InvariantDescriptor("commute_time_max", 1, both, topo.commute_time_max),
+        for c in (False, True)
+        for p in topo.POWER_TRACE_EXPONENTS
     ]
-    for closed in (False, True):
-        for p in topo.POWER_TRACE_EXPONENTS:
-            nm = f"neighbourhood_trace_{'closed' if closed else 'open'}_p{p}"
-            entries.append(
-                InvariantDescriptor(
-                    nm, 1, both,
-                    lambda g, p=p, c=closed: topo.neighbourhood_power_trace(g, p, c),
-                )
-            )
     entries += [
-        InvariantDescriptor("wiener", 1, both, indices.wiener),
-        InvariantDescriptor("randic", 1, both, indices.randic),
+        InvariantDescriptor("wiener", 1, indices.wiener),
+        InvariantDescriptor("randic", 1, indices.randic),
     ]
-    for c in config.randic_exponents:
-        entries.append(
-            InvariantDescriptor(
-                indices.general_randic_name(c), 1, both,
-                lambda g, c=c: indices.general_randic(g, c),
-            )
-        )
     entries += [
-        InvariantDescriptor("atom_bond_connectivity", 1, both, indices.atom_bond_connectivity),
-        InvariantDescriptor("geometric_arithmetic", 1, both, indices.geometric_arithmetic),
-        InvariantDescriptor("hyper_wiener", 1, both, indices.hyper_wiener),
-        InvariantDescriptor("estrada", 1, full_only, indices.estrada),
-        InvariantDescriptor("zagreb_first", 1, both, indices.zagreb_first),
-        InvariantDescriptor("zagreb_second", 1, both, indices.zagreb_second),
-        InvariantDescriptor("schultz", 1, both, indices.schultz),
-        InvariantDescriptor("gutman", 1, both, indices.gutman),
-        InvariantDescriptor("szeged", 1, both, indices.szeged),
-        InvariantDescriptor("forgotten", 1, both, indices.forgotten),
-        InvariantDescriptor("balaban", 1, both, indices.balaban),
+        InvariantDescriptor(indices.general_randic_name(c), 1, lambda g, c=c: indices.general_randic(g, c))
+        for c in config.randic_exponents
+    ]
+    entries += [
+        InvariantDescriptor("atom_bond_connectivity", 1, indices.atom_bond_connectivity),
+        InvariantDescriptor("geometric_arithmetic", 1, indices.geometric_arithmetic),
+        InvariantDescriptor("hyper_wiener", 1, indices.hyper_wiener),
+    ]
+    if full:
+        entries.append(InvariantDescriptor("estrada", 1, indices.estrada))
+    entries += [
+        InvariantDescriptor("zagreb_first", 1, indices.zagreb_first),
+        InvariantDescriptor("zagreb_second", 1, indices.zagreb_second),
+        InvariantDescriptor("schultz", 1, indices.schultz),
+        InvariantDescriptor("gutman", 1, indices.gutman),
+        InvariantDescriptor("szeged", 1, indices.szeged),
+        InvariantDescriptor("forgotten", 1, indices.forgotten),
+        InvariantDescriptor("balaban", 1, indices.balaban),
     ]
 
     names = [d.name for d in entries]
@@ -202,7 +188,7 @@ def _master_catalog(config: RegimeConfig) -> list[InvariantDescriptor]:
 def build_catalog(config: RegimeConfig) -> tuple[InvariantDescriptor, ...]:
     """Deterministic ordered catalog honouring regime exclusions and
     subset filtering (subset S follows its own normative order)."""
-    master = [d for d in _master_catalog(config) if config.regime in d.regimes]
+    master = _master_catalog(config)
     if config.subset == "I":
         return tuple(master)
     by_name = {d.name: d for d in master}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -236,6 +236,23 @@ def spanning_trees_deletion_contraction(n: int, edges) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Neighbourhood power traces by explicit matrix powers
+
+
+def neighbourhood_power_trace(n: int, edges, p: int, closed: bool) -> float:
+    """Sum over vertices of tr(A_N^p), A_N induced on the open (or closed)
+    neighbourhood, each trace from a matrix power, added in vertex order."""
+    a = adjacency(n, edges)
+    total = 0.0
+    for i in range(n):
+        idx = [j for j in range(n) if a[i][j] or (closed and j == i)]
+        if idx:
+            sub = a[np.ix_(idx, idx)]
+            total += float(np.trace(np.linalg.matrix_power(sub, p)))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive homomorphism enumeration
 
 
@@ -260,6 +277,31 @@ def count_homomorphisms_einsum(pattern_n, pattern_edges, host_adjacency: np.ndar
     subs = ",".join(letters[u] + letters[v] for u, v in pattern_edges)
     value = np.einsum(subs + "->", *([host_adjacency] * len(pattern_edges)), optimize=False)
     return int(round(float(value)))
+
+
+def min_width_order(n: int, edges) -> tuple[int, ...]:
+    """The first vertex order, over all permutations in lexicographic
+    order, that is connected (each vertex after the first has an earlier
+    neighbour) and holds the fewest vertices at once. Placing a vertex
+    holds it together with every earlier vertex that still has a later
+    neighbour."""
+    nbrs = {v: set() for v in range(n)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    best = None
+    for order in permutations(range(n)):
+        width = 0
+        for t, v in enumerate(order):
+            earlier = set(order[:t])
+            if t and not nbrs[v] & earlier:
+                break
+            held = sum(1 for w in earlier if nbrs[w] - earlier)
+            width = max(width, held + 1)
+        else:
+            if best is None or width < best[0]:
+                best = (width, order)
+    return best[1]
 
 
 # ---------------------------------------------------------------------------

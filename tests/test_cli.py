@@ -75,6 +75,16 @@ class TestExitCodes:
         code = main(["fingerprint", "--dataset", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command, flag", [("fingerprint", "--dataset"), ("expressivity", "--pairs")])
+    @pytest.mark.parametrize("line", ["[1, 2]", "null"])
+    def test_non_object_line_is_data_error(self, tmp_path, capsys, command, flag, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        argv = [command, flag, str(bad)] + (["--out", str(tmp_path / "o.csv")] if command == "fingerprint" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "not a JSON object" in err[0]
+
     def test_strict_escalates_failures(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "edgeless", "num_nodes": 3, "edges": []}\n')

@@ -53,7 +53,7 @@ class TestDifferentiates:
     def test_below_tolerance_false(self):
         # one block whose value moves by 1e-9 between the sides, on a magnitude of ~1
         value = {"a": 1.0, "b": 1.0 + 1e-9}
-        cat = (InvariantDescriptor("nudged", 1, frozenset({"full"}), lambda g: value_ok("nudged", value[g.id])),)
+        cat = (InvariantDescriptor("nudged", 1, lambda g: value_ok("nudged", value[g.id])),)
         pair = GraphPair(make_graph(2, [], id="a"), make_graph(2, [], id="b"), "X", "p0")
         report = score_pairs([pair], cat, tol=1e-6)
         assert not report.differentiated.any()
@@ -186,6 +186,17 @@ class TestPairInputs:
         assert len(pairs) == 1
         assert pairs[0].left.edges == g.edges
         assert pairs[0].category == "Basic"
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "pairs line 1: not a JSON object"),
+        ("null", "pairs line 1: not a JSON object"),
+        ('{"left": [1], "right": {"num_nodes": 1}}', "'pair0.left': not a JSON object"),
+        ('{"left": {"num_nodes": 1}, "right": null}', "'pair0.right': not a JSON object"),
+        ('{"left": {"num_nodes": 1}}', "pairs line 1: malformed record"),
+    ])
+    def test_malformed_pair_rejected(self, line, message):
+        with pytest.raises(GraphDataError, match=message):
+            parse_pairs_jsonl(line)
 
     def test_graph6_k4(self):
         g = graph6_to_graph(b"C~")

@@ -57,6 +57,11 @@ class TestParseJsonl:
         with pytest.raises(GraphDataError, match="duplicate graph id"):
             parse_jsonl_dataset(line + "\n" + line)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", "null", "3", '"g"'])
+    def test_non_object_line_rejected(self, line):
+        with pytest.raises(GraphDataError, match="line 2: not a JSON object"):
+            parse_jsonl_dataset('{"num_nodes": 1}\n' + line)
+
     def test_edge_features_follow_canonical_order(self):
         # input edges reversed and out of order; rows must be re-paired
         obj = {"id": "e", "num_nodes": 3, "edges": [[2, 1], [1, 0]],

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from graphinv.registry import (
     write_fingerprint_csv,
 )
 
-from conftest import complete_graph, cycle_graph, empty_graph, random_graph
+from conftest import complete_graph, cycle_graph, empty_graph, path_graph, random_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -137,6 +139,17 @@ class TestFingerprintDataset:
         ok_counts = [sum(b.ok for b in r.blocks) for r in rows]
         assert ok_counts[0] == len(cat) and ok_counts[2] == len(cat)
         assert ok_counts[1] < len(cat)
+
+    def test_graphs_released_after_the_batch(self):
+        # Work derived from a graph is cached for one graph at a time, so
+        # once the batch is dropped only the last graph may stay reachable.
+        ds = GraphDataset((cycle_graph(5), complete_graph(4), path_graph(4)), name="t")
+        refs = [weakref.ref(g) for g in ds]
+        rows = fingerprint_dataset(ds, build_catalog(RegimeConfig()))
+        assert all(b.ok for r in rows for b in r.blocks)
+        del ds, rows
+        gc.collect()
+        assert refs[0]() is None and refs[1]() is None
 
     def test_sidecar_contents(self, rng, tmp_path):
         ds = self._dataset(rng, n=3)

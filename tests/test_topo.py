@@ -41,6 +41,8 @@ from oracles import (
     commute_time_simulation,
     count_homomorphisms_einsum,
     count_homomorphisms_exhaustive,
+    min_width_order,
+    neighbourhood_power_trace as trace_by_matrix_powers,
     wasserstein_exhaustive,
 )
 
@@ -186,6 +188,14 @@ class TestHomomorphismCounts:
 
     def test_invariant_width(self, rng):
         assert homomorphism_counts(random_graph(rng)).width == 31
+
+    def test_stored_orders_are_the_searched_ones(self):
+        # The plans are built from stored vertex orders; a search over
+        # every order picks the same ones.
+        for p, order, plan in zip(PATTERN_CATALOG, homcount._ORDERS, homcount._PLANS):
+            searched = min_width_order(p.n_vertices, p.edges)
+            assert tuple(map(int, order)) == searched, p.label
+            assert homcount._plan_for_order(p, searched) == plan
 
     def test_subset_in_given_order(self, rng):
         g = random_graph(rng, max_n=8)
@@ -415,6 +425,23 @@ class TestNeighbourhoodPowerTrace:
     def test_exponent_validated(self):
         with pytest.raises(ValueError):
             neighbourhood_power_trace(complete_graph(3), 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_graphs(max_n=12))
+    def test_equals_matrix_powers(self, g):
+        for closed in (False, True):
+            for p in topo.POWER_TRACE_EXPONENTS:
+                want = trace_by_matrix_powers(g.n_vertices, g.edges, p, closed)
+                assert val(neighbourhood_power_trace(g, p, closed)) == want
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_k100_closed_forms(self, p):
+        # Every neighbourhood is a complete graph K_m, whose p-th power
+        # trace is (m - 1)^p + (m - 1) for even p; tr(A^8) exceeds 2^53.
+        g = complete_graph(100)
+        for closed, m in ((False, 99), (True, 100)):
+            exact = 100 * ((m - 1) ** p + (m - 1))
+            assert val(neighbourhood_power_trace(g, p, closed)) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 class TestPermutationInvariance:
