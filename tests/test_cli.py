@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from graphinv.graph import graph_to_obj
 
 from conftest import cycle_graph, erdos_renyi, two_triangles
 
+GOLDEN = Path(__file__).parent / "golden"
 
 def write_dataset(path, graphs):
     with open(path, "w") as fh:
@@ -94,6 +96,21 @@ class TestExitCodes:
 
     def test_success(self, dataset_path, tmp_path):
         assert main(["fingerprint", "--dataset", str(dataset_path), "--out", str(tmp_path / "o.csv")]) == 0
+
+
+class TestEdgeCaseGolden:
+    """The fingerprint CLI on n = 0, K1, three isolated vertices, 2K2, K2,
+    P3 and C5: every value and status cell and both sidecars, byte for
+    byte. The edgeless and disconnected graphs pin the failure statuses."""
+
+    @pytest.mark.parametrize("regime", ["full", "reduced"])
+    def test_bytes(self, tmp_path, capsys, regime):
+        out = tmp_path / f"edge_cases_{regime}.csv"
+        dataset = GOLDEN / "edge_cases.jsonl"
+        assert main(["fingerprint", "--regime", regime, "--dataset", str(dataset), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+        sidecar = f"{out.name}.meta.json"
+        assert (tmp_path / sidecar).read_bytes() == (GOLDEN / sidecar).read_bytes()
 
 
 class TestListInvariants:
