@@ -9,6 +9,7 @@ expressivity).
 from __future__ import annotations
 
 import json
+import math
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,8 +87,8 @@ def score_pairs(
         raise ValueError("no pairs to score")
     if mode not in ("relative", "absolute"):
         raise ValueError(f"unknown tolerance mode {mode!r}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
     differentiated = np.zeros((len(pairs), len(catalog)), dtype=bool)
     max_rel_diff = np.zeros((len(pairs), len(catalog)))

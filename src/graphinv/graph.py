@@ -167,11 +167,16 @@ def graph_from_obj(obj: dict, default_id: str) -> Graph:
     if not isinstance(obj, dict):
         raise GraphDataError(f"graph {default_id!r}: not a JSON object")
     gid = str(obj.get("id", default_id))
-    try:
-        n = int(obj["num_nodes"])
-        edges = [(int(u), int(v)) for u, v in obj.get("edges", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphDataError(f"graph {gid!r}: malformed record ({exc})") from None
+    n, edges = obj.get("num_nodes"), obj.get("edges", [])
+    # JSON integers only: a float, a bool or a numeric string is refused,
+    # never truncated or coerced.
+    if type(n) is not int:
+        raise GraphDataError(f"graph {gid!r}: num_nodes must be a JSON integer, got {n!r}")
+    if type(edges) is not list or any(
+        type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int
+        for e in edges
+    ):
+        raise GraphDataError(f"graph {gid!r}: edges must be a list of pairs of JSON integers")
     try:
         return make_graph(
             n,

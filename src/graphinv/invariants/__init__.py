@@ -1,7 +1,15 @@
-"""Permutation-invariant structural descriptors, grouped by family."""
+"""Permutation-invariant structural descriptors, grouped by family.
+
+Every block in ``basic``, ``entropy``, ``indices`` and ``topo`` is a plain
+function of a graph: it returns its number or array, or it raises. A
+declared failure raises :class:`BlockFailure`. The catalog in
+``graphinv.registry`` alone names and sizes the blocks and turns what a
+block returns or raises into an :class:`InvariantValue`.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,16 +17,21 @@ import numpy as np
 OK = "ok"
 
 
+class BlockFailure(Exception):
+    """A declared failure of a block: its status becomes
+    ``failed: <reason>`` and every value ``fill``."""
+
+    def __init__(self, reason: str, fill: float = math.nan):
+        super().__init__(reason)
+        self.fill = fill
+
+
 @dataclass(frozen=True)
 class InvariantValue:
-    """A named fixed-width block of an invariant fingerprint.
+    """One fixed-width block of a fingerprint: read-only float64 values
+    and a status, ``"ok"`` or ``"failed: ..."``. Failed blocks carry
+    their fill (NaN unless declared, never a silent 0)."""
 
-    ``status`` is ``"ok"`` or a failure reason; failed blocks carry NaN
-    values (never a silent 0) and are serialized with an explicit status
-    column.
-    """
-
-    name: str
     values: np.ndarray
     status: str = OK
 
@@ -29,15 +42,3 @@ class InvariantValue:
     @property
     def width(self) -> int:
         return self.values.shape[0]
-
-
-def value_ok(name: str, values) -> InvariantValue:
-    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    arr.flags.writeable = False
-    return InvariantValue(name, arr)
-
-
-def value_failed(name: str, width: int, reason: str, fill: float = np.nan) -> InvariantValue:
-    arr = np.full(width, fill)
-    arr.flags.writeable = False
-    return InvariantValue(name, arr, status=f"failed: {reason}")

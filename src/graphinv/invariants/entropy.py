@@ -14,11 +14,10 @@ import zlib
 import numpy as np
 
 from ..graph import Graph, degree_vector
-from ..linalg import NumericalError, normalized_laplacian_spectrum
-from . import InvariantValue, value_failed, value_ok
+from ..linalg import normalized_laplacian_spectrum
 
 
-def degree_entropy(g: Graph) -> InvariantValue:
+def degree_entropy(g: Graph) -> float:
     """Natural-log entropy of the degree histogram over degrees 1..n_V-1.
 
     Degree-0 vertices fall outside the summation range, so the histogram
@@ -27,36 +26,31 @@ def degree_entropy(g: Graph) -> InvariantValue:
     deg = degree_vector(g)
     n = g.n_vertices
     if n == 0:
-        return value_ok("degree_entropy", 0.0)
+        return 0.0
     total = 0.0
     counts = np.bincount(deg, minlength=n)
     for k in range(1, n):
         p = counts[k] / n
         if p > 0:
             total -= p * np.log(p)
-    return value_ok("degree_entropy", total)
+    return total
 
 
-def von_neumann_entropy(g: Graph) -> InvariantValue:
+def von_neumann_entropy(g: Graph) -> float:
     """-sum of (lam/n) log(lam/n) over the normalized-Laplacian spectrum,
     skipping the smallest eigenvalue; 0 log 0 := 0."""
-    name = "von_neumann_entropy"
     n = g.n_vertices
     if n < 2:
-        return value_ok(name, 0.0)
-    try:
-        lam = normalized_laplacian_spectrum(g)
-    except NumericalError as exc:
-        return value_failed(name, 1, str(exc))
-    p = np.clip(lam[1:], 0.0, None) / n
+        return 0.0
+    p = np.clip(normalized_laplacian_spectrum(g)[1:], 0.0, None) / n
     nz = p[p > 0]
-    return value_ok(name, -float(np.sum(nz * np.log(nz))))
+    return -float(np.sum(nz * np.log(nz)))
 
 
-def kolmogorov_proxy(g: Graph) -> InvariantValue:
+def kolmogorov_proxy(g: Graph) -> int:
     """Byte length of the DEFLATE-compressed canonical edge list."""
     pairs = np.asarray(sorted(g.edges), dtype="<u4")
     payload = pairs.tobytes() if pairs.size else b""
     comp = zlib.compressobj(level=6, wbits=-15)  # raw deflate, no container
     blob = comp.compress(payload) + comp.flush()
-    return value_ok("kolmogorov_proxy", len(blob))
+    return len(blob)

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import Graph, UNREACHABLE, adjacency_matrix, bfs_all_pairs, connected_components, degree_vector
-from ..linalg import NumericalError, eigenvalues_sym, sym_matrix
-from . import InvariantValue, value_failed, value_ok
+from ..graph import Graph, UNREACHABLE, adjacency_matrix, bfs_all_pairs, degree_vector
+from ..linalg import eigenvalues_sym, sym_matrix
+from .basic import circuit_rank
 
 DEFAULT_RANDIC_EXPONENTS = (-1.0, 0.5)
 
 
-def _finite_dist(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+def _finite_dist(g: Graph) -> np.ndarray:
     dist = bfs_all_pairs(g)
-    finite = dist != UNREACHABLE
-    return np.where(finite, dist, 0).astype(np.float64), finite
+    return np.where(dist != UNREACHABLE, dist, 0).astype(np.float64)
 
 
 def _edge_degrees(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -31,82 +30,70 @@ def _edge_degrees(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return deg[e[:, 0]], deg[e[:, 1]]
 
 
-def wiener(g: Graph) -> InvariantValue:
-    d, _ = _finite_dist(g)
-    return value_ok("wiener", 0.5 * d.sum())
+def wiener(g: Graph) -> float:
+    d = _finite_dist(g)
+    return 0.5 * d.sum()
 
 
-def hyper_wiener(g: Graph) -> InvariantValue:
-    d, _ = _finite_dist(g)
-    return value_ok("hyper_wiener", 0.5 * (d + d**2).sum())
+def hyper_wiener(g: Graph) -> float:
+    d = _finite_dist(g)
+    return 0.5 * (d + d**2).sum()
 
 
-def randic(g: Graph) -> InvariantValue:
+def randic(g: Graph) -> float:
     du, dv = _edge_degrees(g)
-    return value_ok("randic", np.sum(1.0 / np.sqrt(du * dv)) if du.size else 0.0)
+    return np.sum(1.0 / np.sqrt(du * dv)) if du.size else 0.0
 
 
-def general_randic(g: Graph, c: float) -> InvariantValue:
-    name = general_randic_name(c)
+def general_randic(g: Graph, c: float) -> float:
     du, dv = _edge_degrees(g)
-    return value_ok(name, np.sum((du * dv) ** c) if du.size else 0.0)
+    return np.sum((du * dv) ** c) if du.size else 0.0
 
 
-def general_randic_name(c: float) -> str:
-    return f"general_randic_{c:g}"
-
-
-def atom_bond_connectivity(g: Graph) -> InvariantValue:
+def atom_bond_connectivity(g: Graph) -> float:
     du, dv = _edge_degrees(g)
-    value = np.sum(np.sqrt((du + dv - 2.0) / (du * dv))) if du.size else 0.0
-    return value_ok("atom_bond_connectivity", value)
+    return np.sum(np.sqrt((du + dv - 2.0) / (du * dv))) if du.size else 0.0
 
 
-def geometric_arithmetic(g: Graph) -> InvariantValue:
+def geometric_arithmetic(g: Graph) -> float:
     du, dv = _edge_degrees(g)
-    value = np.sum(2.0 * np.sqrt(du * dv) / (du + dv)) if du.size else 0.0
-    return value_ok("geometric_arithmetic", value)
+    return np.sum(2.0 * np.sqrt(du * dv) / (du + dv)) if du.size else 0.0
 
 
-def estrada(g: Graph) -> InvariantValue:
-    name = "estrada"
+def estrada(g: Graph) -> float:
     if g.n_vertices == 0:
-        return value_ok(name, 0.0)
-    try:
-        lam = eigenvalues_sym(sym_matrix(adjacency_matrix(g)))
-    except NumericalError as exc:
-        return value_failed(name, 1, str(exc))
-    return value_ok(name, np.sum(np.exp(lam)))
+        return 0.0
+    return np.sum(np.exp(eigenvalues_sym(sym_matrix(adjacency_matrix(g)))))
 
 
-def zagreb_first(g: Graph) -> InvariantValue:
+def zagreb_first(g: Graph) -> float:
     deg = degree_vector(g).astype(np.float64)
-    return value_ok("zagreb_first", np.sum(deg**2))
+    return np.sum(deg**2)
 
 
-def zagreb_second(g: Graph) -> InvariantValue:
+def zagreb_second(g: Graph) -> float:
     du, dv = _edge_degrees(g)
-    return value_ok("zagreb_second", np.sum(du * dv) if du.size else 0.0)
+    return np.sum(du * dv) if du.size else 0.0
 
 
-def forgotten(g: Graph) -> InvariantValue:
+def forgotten(g: Graph) -> float:
     deg = degree_vector(g).astype(np.float64)
-    return value_ok("forgotten", np.sum(deg**3))
+    return np.sum(deg**3)
 
 
-def schultz(g: Graph) -> InvariantValue:
-    d, _ = _finite_dist(g)
+def schultz(g: Graph) -> float:
+    d = _finite_dist(g)
     deg = degree_vector(g).astype(np.float64)
-    return value_ok("schultz", 0.5 * float(deg @ d.sum(axis=1) + d.sum(axis=0) @ deg))
+    return 0.5 * float(deg @ d.sum(axis=1) + d.sum(axis=0) @ deg)
 
 
-def gutman(g: Graph) -> InvariantValue:
-    d, _ = _finite_dist(g)
+def gutman(g: Graph) -> float:
+    d = _finite_dist(g)
     deg = degree_vector(g).astype(np.float64)
-    return value_ok("gutman", 0.5 * float(deg @ d @ deg))
+    return 0.5 * float(deg @ d @ deg)
 
 
-def szeged(g: Graph) -> InvariantValue:
+def szeged(g: Graph) -> float:
     """Per edge, count vertices strictly closer to each endpoint;
     equidistant and unreachable vertices count for neither side."""
     dist = bfs_all_pairs(g)
@@ -117,18 +104,16 @@ def szeged(g: Graph) -> InvariantValue:
         closer_u = int(np.sum(reachable & (du < dv)))
         closer_v = int(np.sum(reachable & (dv < du)))
         total += closer_u * closer_v
-    return value_ok("szeged", total)
+    return total
 
 
-def balaban(g: Graph) -> InvariantValue:
+def balaban(g: Graph) -> float:
     """n_E / (rank + 1) times the sum over edges of the inverse square
     root of the endpoints' finite-distance sums."""
     if g.n_edges == 0:
-        return value_ok("balaban", 0.0)
-    d, _ = _finite_dist(g)
+        return 0.0
+    d = _finite_dist(g)
     row_sums = d.sum(axis=1)
-    n_connect, _labels = connected_components(g)
-    rank = g.n_edges - g.n_vertices + n_connect
     e = np.asarray(g.edges)
     terms = 1.0 / np.sqrt(row_sums[e[:, 0]] * row_sums[e[:, 1]])
-    return value_ok("balaban", g.n_edges / (rank + 1.0) * terms.sum())
+    return g.n_edges / (circuit_rank(g) + 1.0) * terms.sum()

@@ -12,17 +12,16 @@ import numpy as np
 
 from ..graph import Graph, UNREACHABLE, adjacency_matrix, adjacency_sets, bfs_all_pairs, degree_vector, per_graph
 from ..linalg import (
-    NumericalError,
     SingularMatrixError,
     laplacian_pseudoinverse,
     log_pseudo_determinant,
     solve_linear,
     sym_matrix,
 )
-from . import InvariantValue, value_failed, value_ok
+from . import BlockFailure
 from .homcount import count_all_patterns, overflows_int64
 from .simplicial import clique_complex, hodge_laplacian
-from .transport import TransportError, wasserstein_1
+from .transport import wasserstein_1
 
 DEFAULT_MAGNITUDE_Q = math.exp(-0.42)
 DEFAULT_LAZINESS = 0.5
@@ -32,52 +31,46 @@ POWER_TRACE_EXPONENTS = (4, 8)
 N_PATTERNS = 31
 
 
-def magnitude(g: Graph, q: float = DEFAULT_MAGNITUDE_Q) -> InvariantValue:
+def magnitude(g: Graph, q: float = DEFAULT_MAGNITUDE_Q) -> float:
     """Sum of all entries of Z(q)^{-1} with Z_ij = q^{d(i,j)}.
 
     Cross-component entries take q^inf = 0. Computed via one linear solve
     Z x = 1 (the magnitude is sum(x)), not a full inversion.
     """
-    name = "magnitude"
     if not 0.0 < q < 1.0:
         raise ValueError(f"magnitude scale q must be in (0, 1), got {q}")
     n = g.n_vertices
     if n == 0:
-        return value_ok(name, 0.0)
+        return 0.0
     dist = bfs_all_pairs(g)
     z = np.where(dist == UNREACHABLE, 0.0, np.power(q, dist, dtype=np.float64))
     try:
         x = solve_linear(sym_matrix(z), np.ones(n))
     except SingularMatrixError:
-        return value_failed(name, 1, "singular magnitude matrix")
-    return value_ok(name, float(np.sum(x)))
+        raise BlockFailure("singular magnitude matrix") from None
+    return float(np.sum(x))
 
 
-def analytic_torsion(g: Graph, max_dim: int = DEFAULT_TORSION_DIM) -> InvariantValue:
+def analytic_torsion(g: Graph, max_dim: int = DEFAULT_TORSION_DIM) -> float:
     """Alternating product of Hodge-Laplacian pseudo-determinants of the
     clique complex: prod_p pdet(L_p)^{p (-1)^{p+1}}, accumulated in
     log-space. The p = 0 exponent vanishes, so the product starts at 1."""
-    name = "analytic_torsion"
-    try:
-        skeleton = clique_complex(g, max_dim)
-        log_total = 0.0
-        for p in range(1, max_dim + 1):
-            exponent = p * (-1.0) ** (p + 1)
-            log_total += exponent * log_pseudo_determinant(hodge_laplacian(skeleton, p))
-        return value_ok(name, math.exp(log_total))
-    except NumericalError as exc:
-        return value_failed(name, 1, str(exc))
+    skeleton = clique_complex(g, max_dim)
+    log_total = 0.0
+    for p in range(1, max_dim + 1):
+        exponent = p * (-1.0) ** (p + 1)
+        log_total += exponent * log_pseudo_determinant(hodge_laplacian(skeleton, p))
+    return math.exp(log_total)
 
 
-def homomorphism_counts(g: Graph, log1p: bool = False) -> InvariantValue:
+def homomorphism_counts(g: Graph, log1p: bool = False) -> np.ndarray:
     """Counts of maps from each of the 31 catalog patterns (catalog order);
     optionally log1p-compressed. Fails on 64-bit overflow."""
-    name = "homomorphism_counts"
     counts = count_all_patterns(g)
     if overflows_int64(counts):
-        return value_failed(name, N_PATTERNS, "count exceeds 64-bit range")
+        raise BlockFailure("count exceeds 64-bit range")
     arr = np.array(counts, dtype=np.float64)
-    return value_ok(name, np.log1p(arr) if log1p else arr)
+    return np.log1p(arr) if log1p else arr
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +118,7 @@ def edge_distribution(values: np.ndarray) -> EdgeDistribution:
 def forman_ricci(g: Graph) -> EdgeDistribution:
     """Combinatorial edge curvature 4 - (deg(i) + deg(j))."""
     if g.n_edges == 0:
-        raise ValueError("Forman curvature needs at least one edge")
+        raise BlockFailure("Forman curvature needs at least one edge")
     deg = degree_vector(g)
     values = np.array([4.0 - deg[u] - deg[v] for u, v in g.edges])
     return edge_distribution(values)
@@ -149,7 +142,7 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"laziness must lie in [0, 1), got {alpha}")
     if g.n_edges == 0:
-        raise ValueError("Ollivier curvature needs at least one edge")
+        raise BlockFailure("Ollivier curvature needs at least one edge")
     nbrs = adjacency_sets(g)
     dist = bfs_all_pairs(g)
     values = np.empty(g.n_edges)
@@ -161,28 +154,11 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
     return edge_distribution(values)
 
 
-def _curvature_moment_values(g: Graph, which: str, alpha: float) -> EdgeDistribution:
-    if which == "forman":
-        return forman_ricci(g)
-    return ollivier_ricci(g, alpha)
-
-
-def curvature_moment(g: Graph, which: str, moment: str, alpha: float = DEFAULT_LAZINESS) -> InvariantValue:
-    """One summary moment of a curvature distribution as a named invariant."""
-    name = f"{which}_ricci_{moment}"
-    try:
-        dist = _curvature_moment_values(g, which, alpha)
-    except ValueError as exc:
-        return value_failed(name, 1, str(exc))
-    except TransportError as exc:
-        return value_failed(name, 1, str(exc))
-    return value_ok(name, getattr(dist, moment))
-
-
 # ---------------------------------------------------------------------------
 # Commute times and neighbourhood power traces
 
 
+@per_graph
 def commute_times(g: Graph) -> tuple[float, float]:
     """(mean, max) of vol(V) (Lp_ii + Lp_jj - 2 Lp_ij) over all ordered
     pairs, diagonal included. Disconnected graphs evaluate the formula
@@ -194,22 +170,6 @@ def commute_times(g: Graph) -> tuple[float, float]:
     diag = np.diag(lp)
     c = (diag[:, None] + diag[None, :] - 2.0 * lp) * (2.0 * g.n_edges)
     return float(c.mean()), float(c.max())
-
-
-def commute_time_mean(g: Graph) -> InvariantValue:
-    name = "commute_time_mean"
-    try:
-        return value_ok(name, commute_times(g)[0])
-    except NumericalError as exc:
-        return value_failed(name, 1, str(exc))
-
-
-def commute_time_max(g: Graph) -> InvariantValue:
-    name = "commute_time_max"
-    try:
-        return value_ok(name, commute_times(g)[1])
-    except NumericalError as exc:
-        return value_failed(name, 1, str(exc))
 
 
 @per_graph
@@ -233,10 +193,9 @@ def _neighbourhood_traces(g: Graph) -> MappingProxyType[tuple[int, bool], float]
     return MappingProxyType(totals)
 
 
-def neighbourhood_power_trace(g: Graph, p: int, closed: bool = False) -> InvariantValue:
+def neighbourhood_power_trace(g: Graph, p: int, closed: bool = False) -> float:
     """Sum over vertices of tr((A restricted to the neighbourhood)^p),
     using the closed neighbourhood N[i] when `closed`."""
-    name = f"neighbourhood_trace_{'closed' if closed else 'open'}_p{p}"
     if p not in POWER_TRACE_EXPONENTS:
         raise ValueError(f"power-trace exponent must be one of {POWER_TRACE_EXPONENTS}")
-    return value_ok(name, _neighbourhood_traces(g)[p, closed])
+    return _neighbourhood_traces(g)[p, closed]

@@ -1,6 +1,12 @@
 """Invariant catalog, regime/subset configuration, fingerprint assembly,
 and the CSV and sidecar writers every command's output goes through.
 
+The catalog alone names and sizes the blocks, and its ``block`` helper
+alone turns what a block function returns or raises into an
+InvariantValue. A block's status is ``ok``, ``failed: <reason>`` for a
+declared failure (a BlockFailure, NumericalError or TransportError), or
+``failed: <Type>: <message>`` for any other exception.
+
 The catalog order is normative (basic, entropy, geometric/topological,
 indices) and stable across releases; any change bumps SCHEMA_VERSION,
 which is recorded in the output sidecar.
@@ -10,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -18,8 +25,10 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .graph import Graph, GraphDataset
-from .invariants import InvariantValue, value_failed
+from .invariants import OK, BlockFailure, InvariantValue
 from .invariants import basic, entropy, indices, topo
+from .invariants.transport import TransportError
+from .linalg import NumericalError
 
 SCHEMA_VERSION = "1"
 
@@ -94,89 +103,111 @@ class InvariantDescriptor:
     compute: Callable[[Graph], InvariantValue]
 
 
+def block(name: str, fn: Callable[[Graph], object], width: int = 1) -> InvariantDescriptor:
+    """The catalog entry of block function ``fn``. Its ``compute`` is the
+    one place where a block's outcome becomes an InvariantValue: a value of
+    ``width`` numbers is ``ok``; a BlockFailure, NumericalError or
+    TransportError is ``failed: <message>``; any other exception is
+    ``failed: <Type>: <message>``."""
+
+    def compute(g: Graph) -> InvariantValue:
+        try:
+            values, status = np.asarray(fn(g), dtype=np.float64).reshape(-1), OK
+            if values.size != width:
+                raise BlockFailure(f"width mismatch ({values.size} != {width})")
+        except BlockFailure as exc:
+            values, status = np.full(width, exc.fill), f"failed: {exc}"
+        except (NumericalError, TransportError) as exc:
+            values, status = np.full(width, np.nan), f"failed: {exc}"
+        except Exception as exc:  # isolation: a failing block never aborts the row
+            values, status = np.full(width, np.nan), f"failed: {type(exc).__name__}: {exc}"
+        values.flags.writeable = False
+        return InvariantValue(values, status)
+
+    return InvariantDescriptor(name, width, compute)
+
+
 def _master_catalog(config: RegimeConfig) -> list[InvariantDescriptor]:
     """The catalog of ``config.regime`` in its normative order. Only the
     full regime has analytic torsion, the homomorphism counts and the
-    Estrada index; the reduced one has the log spanning-tree count."""
+    Estrada index; the reduced one has the log spanning-tree count.
+    Blocks reach ``topo`` through the module at call time, so a function
+    replaced there is the one that runs."""
     full = config.regime == "full"
     k = config.spectrum_k
 
-    entries: list[InvariantDescriptor] = [
-        InvariantDescriptor("num_vertices", 1, basic.num_vertices),
-        InvariantDescriptor("num_edges", 1, basic.num_edges),
-        InvariantDescriptor("circuit_rank", 1, basic.circuit_rank),
-        InvariantDescriptor("diameter", 1, basic.diameter),
-        InvariantDescriptor("radius", 1, basic.radius),
-        InvariantDescriptor("transitivity", 1, basic.transitivity),
-        InvariantDescriptor("density", 1, basic.density),
-        InvariantDescriptor(
-            "laplacian_spectrum_block", 2 * k,
-            lambda g, k=k: basic.laplacian_spectrum_block(g, k),
-        ),
-        InvariantDescriptor("algebraic_connectivity", 1, basic.algebraic_connectivity),
+    entries = [
+        block("num_vertices", basic.num_vertices),
+        block("num_edges", basic.num_edges),
+        block("circuit_rank", basic.circuit_rank),
+        block("diameter", basic.diameter),
+        block("radius", basic.radius),
+        block("transitivity", basic.transitivity),
+        block("density", basic.density),
+        block("laplacian_spectrum_block", lambda g: basic.laplacian_spectrum_block(g, k), 2 * k),
+        block("algebraic_connectivity", basic.algebraic_connectivity),
         # Reduced regime swaps in the log to avoid overflow on large graphs.
-        InvariantDescriptor("spanning_tree_count", 1, basic.spanning_tree_count) if full
-        else InvariantDescriptor("spanning_tree_count_log", 1, basic.spanning_tree_count_log),
-        InvariantDescriptor("degree_mean_ratio", 1, basic.degree_mean_ratio),
-        InvariantDescriptor("degree_entropy", 1, entropy.degree_entropy),
-        InvariantDescriptor("von_neumann_entropy", 1, entropy.von_neumann_entropy),
-        InvariantDescriptor("kolmogorov_proxy", 1, entropy.kolmogorov_proxy),
-        InvariantDescriptor("magnitude", 1, lambda g, q=config.q: topo.magnitude(g, q)),
+        block("spanning_tree_count", basic.spanning_tree_count) if full
+        else block("spanning_tree_count_log", basic.spanning_tree_count_log),
+        block("degree_mean_ratio", basic.degree_mean_ratio),
+        block("degree_entropy", entropy.degree_entropy),
+        block("von_neumann_entropy", entropy.von_neumann_entropy),
+        block("kolmogorov_proxy", entropy.kolmogorov_proxy),
+        block("magnitude", lambda g: topo.magnitude(g, config.q)),
     ]
     if full:
         entries += [
-            InvariantDescriptor(
-                "analytic_torsion", 1,
-                lambda g, d=config.torsion_dim: topo.analytic_torsion(g, d),
-            ),
-            InvariantDescriptor(
-                "homomorphism_counts", topo.N_PATTERNS,
-                lambda g, log1p=config.hom_log1p: topo.homomorphism_counts(g, log1p),
+            block("analytic_torsion", lambda g: topo.analytic_torsion(g, config.torsion_dim)),
+            block(
+                "homomorphism_counts",
+                lambda g: topo.homomorphism_counts(g, config.hom_log1p),
+                topo.N_PATTERNS,
             ),
         ]
+    curvatures = {
+        "forman": lambda g: topo.forman_ricci(g),
+        "ollivier": lambda g: topo.ollivier_ricci(g, config.alpha),
+    }
     entries += [
-        InvariantDescriptor(
-            f"{which}_ricci_{moment}", 1,
-            lambda g, w=which, m=moment, a=config.alpha: topo.curvature_moment(g, w, m, a),
-        )
-        for which in ("forman", "ollivier")
+        block(f"{which}_ricci_{moment}", lambda g, c=curvature, m=moment: getattr(c(g), m))
+        for which, curvature in curvatures.items()
         for moment in ("mean", "variance", "skewness", "kurtosis")
     ]
     entries += [
-        InvariantDescriptor("commute_time_mean", 1, topo.commute_time_mean),
-        InvariantDescriptor("commute_time_max", 1, topo.commute_time_max),
+        block("commute_time_mean", lambda g: topo.commute_times(g)[0]),
+        block("commute_time_max", lambda g: topo.commute_times(g)[1]),
     ]
     entries += [
-        InvariantDescriptor(
-            f"neighbourhood_trace_{'closed' if c else 'open'}_p{p}", 1,
+        block(
+            f"neighbourhood_trace_{'closed' if c else 'open'}_p{p}",
             lambda g, p=p, c=c: topo.neighbourhood_power_trace(g, p, c),
         )
         for c in (False, True)
         for p in topo.POWER_TRACE_EXPONENTS
     ]
     entries += [
-        InvariantDescriptor("wiener", 1, indices.wiener),
-        InvariantDescriptor("randic", 1, indices.randic),
+        block("wiener", indices.wiener),
+        block("randic", indices.randic),
     ]
     entries += [
-        InvariantDescriptor(indices.general_randic_name(c), 1, lambda g, c=c: indices.general_randic(g, c))
+        block(f"general_randic_{c:g}", lambda g, c=c: indices.general_randic(g, c))
         for c in config.randic_exponents
     ]
     entries += [
-        InvariantDescriptor("atom_bond_connectivity", 1, indices.atom_bond_connectivity),
-        InvariantDescriptor("geometric_arithmetic", 1, indices.geometric_arithmetic),
-        InvariantDescriptor("hyper_wiener", 1, indices.hyper_wiener),
+        block("atom_bond_connectivity", indices.atom_bond_connectivity),
+        block("geometric_arithmetic", indices.geometric_arithmetic),
+        block("hyper_wiener", indices.hyper_wiener),
     ]
     if full:
-        entries.append(InvariantDescriptor("estrada", 1, indices.estrada))
+        entries.append(block("estrada", indices.estrada))
     entries += [
-        InvariantDescriptor("zagreb_first", 1, indices.zagreb_first),
-        InvariantDescriptor("zagreb_second", 1, indices.zagreb_second),
-        InvariantDescriptor("schultz", 1, indices.schultz),
-        InvariantDescriptor("gutman", 1, indices.gutman),
-        InvariantDescriptor("szeged", 1, indices.szeged),
-        InvariantDescriptor("forgotten", 1, indices.forgotten),
-        InvariantDescriptor("balaban", 1, indices.balaban),
+        block("zagreb_first", indices.zagreb_first),
+        block("zagreb_second", indices.zagreb_second),
+        block("schultz", indices.schultz),
+        block("gutman", indices.gutman),
+        block("szeged", indices.szeged),
+        block("forgotten", indices.forgotten),
+        block("balaban", indices.balaban),
     ]
 
     names = [d.name for d in entries]
@@ -206,7 +237,7 @@ def build_catalog(config: RegimeConfig) -> tuple[InvariantDescriptor, ...]:
 
 @dataclass(frozen=True)
 class FingerprintVector:
-    """Ordered named blocks of invariant values for one graph."""
+    """One graph's block values, in the order of its catalog."""
 
     graph_id: str
     blocks: tuple[InvariantValue, ...]
@@ -222,18 +253,8 @@ class FingerprintVector:
 
 
 def fingerprint(g: Graph, catalog: tuple[InvariantDescriptor, ...]) -> FingerprintVector:
-    """Compute every catalog block for one graph; per-block failures are
-    recorded without aborting the vector."""
-    blocks = []
-    for desc in catalog:
-        try:
-            block = desc.compute(g)
-        except Exception as exc:  # isolation contract: a block failure never kills the row
-            block = value_failed(desc.name, desc.width, f"{type(exc).__name__}: {exc}")
-        if block.width != desc.width:
-            block = value_failed(desc.name, desc.width, f"width mismatch ({block.width} != {desc.width})")
-        blocks.append(block)
-    return FingerprintVector(g.id, tuple(blocks))
+    """Compute every catalog block for one graph, in catalog order."""
+    return FingerprintVector(g.id, tuple(d.compute(g) for d in catalog))
 
 
 def fingerprint_dataset(
@@ -282,9 +303,9 @@ def fingerprint_header(catalog: tuple[InvariantDescriptor, ...]) -> list[str]:
 
 def fingerprint_row(vec: FingerprintVector) -> list[str]:
     row = [vec.graph_id]
-    for block in vec.blocks:
-        row.extend(_format_value(x) for x in block.values)
-    row.extend(block.status for block in vec.blocks)
+    for value in vec.blocks:
+        row.extend(_format_value(x) for x in value.values)
+    row.extend(value.status for value in vec.blocks)
     return row
 
 
@@ -299,9 +320,7 @@ def write_fingerprint_csv(
     header = fingerprint_header(catalog)
     write_csv(path, header, (fingerprint_row(v) for v in rows))
 
-    failure_counts: dict[str, int] = {}
-    for vec in rows:
-        for block in vec.blocks:
-            if not block.ok:
-                failure_counts[block.name] = failure_counts.get(block.name, 0) + 1
+    failure_counts = Counter(
+        d.name for vec in rows for d, value in zip(catalog, vec.blocks) if not value.ok
+    )
     write_sidecar(path, config, n_rows=len(rows), columns=header, failure_counts=failure_counts)

@@ -105,6 +105,14 @@ def shrikhande_graph() -> Graph:
     return make_graph(16, edges, id="shrikhande")
 
 
+def catalog_compute(name: str, regime: str = "full"):
+    """The ``compute`` of catalog block ``name`` under the default config
+    of ``regime``: it returns the block's InvariantValue, status included."""
+    from graphinv.registry import RegimeConfig, build_catalog
+
+    return next(d.compute for d in build_catalog(RegimeConfig(regime=regime)) if d.name == name)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(12345)

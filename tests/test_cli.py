@@ -12,6 +12,7 @@ from conftest import cycle_graph, erdos_renyi, two_triangles
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
 def write_dataset(path, graphs):
     with open(path, "w") as fh:
         for g in graphs:
@@ -76,6 +77,26 @@ class TestExitCodes:
         bad.write_text('{"id": "x", "num_nodes": 2, "edges": [[0, 0]]}\n')
         code = main(["fingerprint", "--dataset", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+    def test_non_integer_record_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "x", "num_nodes": 2.9, "edges": [[0, true]]}\n')
+        code = main(["fingerprint", "--dataset", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["graphinv: graph 'x': num_nodes must be a JSON integer, got 2.9"]
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
+    def test_non_finite_or_non_positive_tol_is_data_error(self, tmp_path, capsys, tol):
+        pair = {"pair_id": "p0", "category": "X",
+                "left": graph_to_obj(cycle_graph(3)), "right": graph_to_obj(cycle_graph(4))}
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(pair) + "\n")
+        assert main(["expressivity", "--pairs", str(path), f"--tol={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [f"graphinv: tolerance must be positive and finite, got {float(tol)}"]
 
     @pytest.mark.parametrize("command, flag", [("fingerprint", "--dataset"), ("expressivity", "--pairs")])
     @pytest.mark.parametrize("line", ["[1, 2]", "null"])

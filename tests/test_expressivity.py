@@ -15,8 +15,7 @@ from graphinv.expressivity import (
     score_pairs,
 )
 from graphinv.graph import GraphDataError, graph_to_obj, make_graph, relabel
-from graphinv.invariants import value_ok
-from graphinv.registry import InvariantDescriptor, RegimeConfig, build_catalog
+from graphinv.registry import RegimeConfig, block, build_catalog
 
 from conftest import (
     cycle_graph,
@@ -53,7 +52,7 @@ class TestDifferentiates:
     def test_below_tolerance_false(self):
         # one block whose value moves by 1e-9 between the sides, on a magnitude of ~1
         value = {"a": 1.0, "b": 1.0 + 1e-9}
-        cat = (InvariantDescriptor("nudged", 1, lambda g: value_ok("nudged", value[g.id])),)
+        cat = (block("nudged", lambda g: value[g.id]),)
         pair = GraphPair(make_graph(2, [], id="a"), make_graph(2, [], id="b"), "X", "p0")
         report = score_pairs([pair], cat, tol=1e-6)
         assert not report.differentiated.any()

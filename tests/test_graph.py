@@ -62,6 +62,25 @@ class TestParseJsonl:
         with pytest.raises(GraphDataError, match="line 2: not a JSON object"):
             parse_jsonl_dataset('{"num_nodes": 1}\n' + line)
 
+    @pytest.mark.parametrize("record, message", [
+        ({"num_nodes": 2.9, "edges": [[0, 1]]}, "num_nodes must be a JSON integer, got 2.9"),
+        ({"num_nodes": "3", "edges": []}, "num_nodes must be a JSON integer, got '3'"),
+        ({"num_nodes": True, "edges": []}, "num_nodes must be a JSON integer, got True"),
+        ({"edges": []}, "num_nodes must be a JSON integer, got None"),
+        ({"num_nodes": 2, "edges": [[0, True]]}, "edges must be a list of pairs of JSON integers"),
+        ({"num_nodes": 2, "edges": [[0, 1.7]]}, "edges must be a list of pairs of JSON integers"),
+        ({"num_nodes": 2, "edges": [[0, 1.0]]}, "edges must be a list of pairs of JSON integers"),
+        ({"num_nodes": 2, "edges": [["0", 1]]}, "edges must be a list of pairs of JSON integers"),
+        ({"num_nodes": 3, "edges": [[0, 1, 2]]}, "edges must be a list of pairs of JSON integers"),
+        ({"num_nodes": 2, "edges": "01"}, "edges must be a list of pairs of JSON integers"),
+    ])
+    def test_non_integer_counts_and_endpoints_rejected(self, record, message):
+        # Nothing is truncated or coerced: 2.9 vertices or the endpoint
+        # true would otherwise load silently as K2.
+        line = json.dumps({"id": "bad", **record})
+        with pytest.raises(GraphDataError, match=f"^graph 'bad': {message}$"):
+            parse_jsonl_dataset(line)
+
     def test_edge_features_follow_canonical_order(self):
         # input edges reversed and out of order; rows must be re-paired
         obj = {"id": "e", "num_nodes": 3, "edges": [[2, 1], [1, 0]],

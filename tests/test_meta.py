@@ -10,9 +10,14 @@ from graphinv.meta import (
     export_meta_csv,
     nearest_centroid_accuracy,
 )
-from graphinv.registry import RegimeConfig, build_catalog
+from graphinv.registry import FingerprintVector, RegimeConfig, block, build_catalog
 
 from conftest import erdos_renyi, random_graph
+
+
+def vector(gid, row):
+    """A fingerprint of one block ``x`` holding ``row``."""
+    return FingerprintVector(gid, (block("x", lambda g: row, len(row)).compute(None),))
 
 
 def small_dataset(rng, n_graphs, name, max_n=8):
@@ -97,13 +102,7 @@ class TestExport:
 
 class TestNearestCentroid:
     def _table(self, matrix, labels, splits):
-        from graphinv.invariants import value_ok
-        from graphinv.registry import FingerprintVector
-
-        rows = tuple(
-            FingerprintVector(f"g{i}", (value_ok("x", row),))
-            for i, row in enumerate(matrix)
-        )
+        rows = tuple(vector(f"g{i}", row) for i, row in enumerate(matrix))
         return MetaTable(
             rows=rows,
             labels=tuple(labels),
@@ -135,13 +134,7 @@ class TestNearestCentroid:
         assert res.overall_accuracy == np.trace(res.confusion) / res.confusion.sum()
 
     def test_zero_variance_column_excluded(self):
-        from graphinv.invariants import value_ok
-        from graphinv.registry import FingerprintVector
-
-        rows = tuple(
-            FingerprintVector(f"g{i}", (value_ok("x", [1.0, float(i % 2)]),))
-            for i in range(6)
-        )
+        rows = tuple(vector(f"g{i}", [1.0, float(i % 2)]) for i in range(6))
         t = MetaTable(rows, (0, 1, 0, 1, 0, 1), ("train",) * 4 + ("test",) * 2, ("a", "b"), 0)
         res = nearest_centroid_accuracy(t)
         assert 0 in res.excluded_columns

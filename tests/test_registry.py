@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from graphinv.graph import GraphDataset, make_graph
+from graphinv.invariants import BlockFailure
+from graphinv.invariants.transport import TransportError
+from graphinv.linalg import NumericalError
 from graphinv.registry import (
     ConfigError,
     RegimeConfig,
+    block,
     build_catalog,
     fingerprint,
     fingerprint_dataset,
@@ -91,7 +95,7 @@ class TestFingerprint:
     def test_edgeless_curvature_blocks_fail(self):
         cat = build_catalog(RegimeConfig())
         vec = fingerprint(empty_graph(4), cat)
-        by_name = {b.name: b for b in vec.blocks}
+        by_name = {d.name: b for d, b in zip(cat, vec.blocks)}
         for name in ("forman_ricci_mean", "ollivier_ricci_kurtosis"):
             assert not by_name[name].ok
             assert np.isnan(by_name[name].values).all()
@@ -107,8 +111,50 @@ class TestFingerprint:
     def test_block_widths_match_schema(self, rng):
         cat = build_catalog(RegimeConfig())
         vec = fingerprint(random_graph(rng), cat)
-        for block, (name, width) in zip(vec.blocks, [(d.name, d.width) for d in cat]):
-            assert block.name == name and block.width == width
+        assert len(vec.blocks) == len(cat)
+        for value, d in zip(vec.blocks, cat):
+            assert value.width == d.width, d.name
+
+
+def raising(exc):
+    def fn(g):
+        raise exc
+    return fn
+
+
+class TestBlock:
+    """The one place where a block function's value or exception becomes
+    an InvariantValue."""
+
+    def test_value_is_read_only_float64(self):
+        iv = block("b", lambda g: np.array([1, 2], dtype=np.int64), 2).compute(empty_graph(1))
+        assert iv.ok and iv.values.dtype == np.float64 and iv.values.tolist() == [1.0, 2.0]
+        assert not iv.values.flags.writeable
+
+    def test_scalar_is_width_one(self):
+        iv = block("b", lambda g: 3).compute(empty_graph(1))
+        assert iv.status == "ok" and iv.values.tolist() == [3.0]
+
+    @pytest.mark.parametrize("exc, status, fill", [
+        (BlockFailure("declared reason"), "failed: declared reason", None),
+        (BlockFailure("with sentinel", fill=-1.0), "failed: with sentinel", -1.0),
+        (NumericalError("eigh failed"), "failed: eigh failed", None),
+        (TransportError("no termination"), "failed: no termination", None),
+        (ValueError("anything else"), "failed: ValueError: anything else", None),
+        (ZeroDivisionError("x"), "failed: ZeroDivisionError: x", None),
+    ])
+    def test_exception_becomes_status(self, exc, status, fill):
+        iv = block("b", raising(exc), 3).compute(empty_graph(1))
+        assert iv.status == status and iv.width == 3 and not iv.values.flags.writeable
+        if fill is None:
+            assert np.isnan(iv.values).all()
+        else:
+            assert (iv.values == fill).all()
+
+    def test_width_mismatch(self):
+        iv = block("b", lambda g: [1.0, 2.0], 3).compute(empty_graph(1))
+        assert iv.status == "failed: width mismatch (2 != 3)"
+        assert np.isnan(iv.values).all() and iv.width == 3
 
 
 class TestFingerprintDataset:

@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from graphinv.graph import adjacency_matrix, degree_vector, relabel
-from graphinv.invariants import homcount, topo
+from graphinv.invariants import BlockFailure, homcount, topo
 from graphinv.invariants.homcount import count_all_patterns, count_patterns
 from graphinv.invariants.patterns import PATTERN_CATALOG, canonical_form
 from graphinv.invariants.simplicial import clique_complex, hodge_laplacian
 from graphinv.invariants.topo import (
     DEFAULT_MAGNITUDE_Q,
     analytic_torsion,
-    commute_time_max,
-    commute_time_mean,
     commute_times,
-    curvature_moment,
     edge_distribution,
     forman_ricci,
     homomorphism_counts,
@@ -26,6 +23,7 @@ from graphinv.invariants.topo import (
 )
 
 from conftest import (
+    catalog_compute,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -47,9 +45,8 @@ from oracles import (
 )
 
 
-def val(iv):
-    assert iv.ok, iv.status
-    return float(iv.values[0])
+def val(x):
+    return float(x)
 
 
 class TestPatternCatalog:
@@ -146,8 +143,7 @@ class TestAnalyticTorsion:
             assert len(skel.simplices[2]) == int(round(np.trace(a @ a @ a) / 6))
 
     def test_dimension_cap_three(self):
-        iv = analytic_torsion(complete_graph(5), max_dim=3)
-        assert iv.ok and np.isfinite(iv.values[0])
+        assert np.isfinite(analytic_torsion(complete_graph(5), max_dim=3))
 
 
 class TestHomomorphismCounts:
@@ -182,12 +178,12 @@ class TestHomomorphismCounts:
 
     def test_log1p_variant(self):
         g = cycle_graph(5)
-        raw = homomorphism_counts(g).values
-        logd = homomorphism_counts(g, log1p=True).values
+        raw = homomorphism_counts(g)
+        logd = homomorphism_counts(g, log1p=True)
         assert np.allclose(logd, np.log1p(raw))
 
     def test_invariant_width(self, rng):
-        assert homomorphism_counts(random_graph(rng)).width == 31
+        assert homomorphism_counts(random_graph(rng)).shape == (31,)
 
     def test_stored_orders_are_the_searched_ones(self):
         # The plans are built from stored vertex orders; a search over
@@ -286,7 +282,7 @@ class TestHomomorphismOverflow:
 
     def test_reported_as_failed(self, star, monkeypatch):
         monkeypatch.setattr(topo, "count_all_patterns", lambda g: count_patterns(g, self.TREES))
-        iv = homomorphism_counts(star)
+        iv = catalog_compute("homomorphism_counts")(star)
         assert iv.status == "failed: count exceeds 64-bit range"
         assert iv.width == 31 and np.all(np.isnan(iv.values))
 
@@ -307,8 +303,8 @@ class TestFormanRicci:
         assert np.all(dist.values == -1.0)
 
     def test_no_edges_fails(self):
-        iv = curvature_moment(empty_graph(3), "forman", "mean")
-        assert not iv.ok
+        with pytest.raises(BlockFailure, match="Forman curvature needs at least one edge"):
+            forman_ricci(empty_graph(3))
 
     def test_moments_recompute(self, rng):
         for _ in range(30):
@@ -402,8 +398,8 @@ class TestCommuteTime:
         assert commute_times(empty_graph(1)) == (0.0, 0.0)
 
     def test_invariants_ok(self):
-        assert commute_time_mean(cycle_graph(5)).ok
-        assert commute_time_max(cycle_graph(5)).ok
+        assert catalog_compute("commute_time_mean")(cycle_graph(5)).ok
+        assert catalog_compute("commute_time_max")(cycle_graph(5)).ok
 
 
 class TestNeighbourhoodPowerTrace:
@@ -450,18 +446,18 @@ class TestPermutationInvariance:
             g = random_graph(rng, min_n=3, max_n=9)
             h = relabel(g, random_permutation(g.n_vertices, rng))
             checks = [
-                magnitude,
-                analytic_torsion,
-                homomorphism_counts,
-                commute_time_mean,
-                commute_time_max,
-                lambda x: neighbourhood_power_trace(x, 4),
-                lambda x: neighbourhood_power_trace(x, 8, closed=True),
-                lambda x: curvature_moment(x, "forman", "variance"),
-                lambda x: curvature_moment(x, "ollivier", "mean"),
+                "magnitude",
+                "analytic_torsion",
+                "homomorphism_counts",
+                "commute_time_mean",
+                "commute_time_max",
+                "neighbourhood_trace_open_p4",
+                "neighbourhood_trace_closed_p8",
+                "forman_ricci_variance",
+                "ollivier_ricci_mean",
             ]
-            for fn in checks:
-                a, b = fn(g), fn(h)
+            for name in checks:
+                a, b = catalog_compute(name)(g), catalog_compute(name)(h)
                 assert a.status == b.status
                 if a.ok:
                     assert np.allclose(a.values, b.values, rtol=1e-9, atol=1e-9)

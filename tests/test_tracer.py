@@ -1,8 +1,9 @@
 """The benchmark's tracer (``perfbench/tracer.py``) times a CLI run from
 outside the program: it primes the per-graph caches through their public
-functions and counts transport edges by the misses of
-``topo.ollivier_ricci``'s cache. A traced run must count every edge once
-and write the same bytes as a plain run."""
+functions, counts transport edges by the misses of
+``topo.ollivier_ricci``'s cache and times ``topo.count_all_patterns``. A
+traced run must reach both through the names the tracer replaces, count
+every edge once and write the same bytes as a plain run."""
 
 import json
 import os
@@ -38,4 +39,5 @@ def test_traced_run_matches_plain_run(tmp_path):
     metrics = traced["layers"]["metrics"]
     assert metrics["invariants.failed_blocks"] == 0
     assert metrics["transport.edges"] == sum(g.n_edges for g in graphs)
+    assert metrics["homcount.count_all_patterns_s"] > 0
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
