@@ -43,6 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def comma_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",") if x)
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--regime", choices=("full", "reduced"), default="full")
     p.add_argument("--subset", choices=("I", "S"), default="I")
@@ -51,28 +55,18 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--torsion-dim", type=int, default=None, help="clique-complex dimension cap")
     p.add_argument("--spectrum-k", type=int, default=None, help="spectral block half-width")
     p.add_argument(
-        "--randic-exponents", default=None,
+        "--randic-exponents", type=comma_floats, default=None,
         help="comma-separated exponents for the general Randić index",
     )
     p.add_argument("--hom-log1p", action="store_true", help="log1p the homomorphism counts")
 
 
+#: RegimeConfig fields that a flag of the same name overrides when given.
+_OVERRIDES = ("q", "alpha", "torsion_dim", "spectrum_k", "randic_exponents", "hom_log1p")
+
+
 def _config_from_args(args) -> RegimeConfig:
-    overrides = {}
-    if args.q is not None:
-        overrides["q"] = args.q
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.torsion_dim is not None:
-        overrides["torsion_dim"] = args.torsion_dim
-    if args.spectrum_k is not None:
-        overrides["spectrum_k"] = args.spectrum_k
-    if args.randic_exponents is not None:
-        overrides["randic_exponents"] = tuple(
-            float(x) for x in args.randic_exponents.split(",") if x
-        )
-    if args.hom_log1p:
-        overrides["hom_log1p"] = True
+    overrides = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
     return RegimeConfig(regime=args.regime, subset=args.subset).with_overrides(**overrides)
 
 
@@ -177,7 +171,7 @@ def _cmd_expressivity(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    fconfig = FeatureConfig(mode=args.mode, hops=args.hops, combine_with=args.combine)
+    fconfig = FeatureConfig(mode=args.mode, hops=args.hops)
     catalog = None
     if args.combine != "none":
         catalog = build_catalog(_config_from_args(args).with_overrides(subset=args.combine))

@@ -26,20 +26,16 @@ from .registry import (
 DEFAULT_HOPS = 3
 
 MODES = ("sum", "agg")
-COMBINE = ("none", "I", "S")
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
     mode: str = "sum"
     hops: int = DEFAULT_HOPS
-    combine_with: str = "none"
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown feature mode {self.mode!r}")
-        if self.combine_with not in COMBINE:
-            raise ValueError(f"unknown combine target {self.combine_with!r}")
         if self.mode == "agg" and self.hops < 1:
             raise ValueError(f"agg needs hops >= 1, got {self.hops}")
 
@@ -88,15 +84,10 @@ def assemble_row(
     config: FeatureConfig,
     catalog: tuple[InvariantDescriptor, ...] | None = None,
 ) -> tuple[np.ndarray, FingerprintVector | None]:
-    """Feature vector for one graph, plus the fingerprint when the config
-    combines with an invariant set."""
+    """Feature vector for one graph, plus its fingerprint when a catalog
+    of invariants is given to combine with."""
     vec = feature_sum(g) if config.mode == "sum" else feature_agg(g, config.hops)
-    fp = None
-    if config.combine_with != "none":
-        if catalog is None:
-            raise ValueError("combine_with set but no invariant catalog given")
-        fp = fingerprint(g, catalog)
-    return vec, fp
+    return vec, None if catalog is None else fingerprint(g, catalog)
 
 
 def _format_label(label) -> str:
@@ -109,8 +100,8 @@ def _format_label(label) -> str:
 
 def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
     """One row per graph: graph_id, feature columns, invariant columns and
-    statuses when combining, and a trailing label column when the dataset
-    carries targets."""
+    statuses when a catalog is given, and a trailing label column when the
+    dataset carries targets."""
     rows = [assemble_row(g, config, catalog) for g in dataset]
     dims = {vec.shape[0] for vec, _ in rows}
     if len(dims) > 1:
@@ -121,7 +112,7 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
         n_blocks = config.hops + 1 if config.mode == "agg" else 1
         dim = next(iter(dims)) // n_blocks
         header += feature_columns(config, dim)
-    if config.combine_with != "none":
+    if catalog is not None:
         header += fingerprint_header(catalog)[1:]  # skip duplicate graph_id
     has_labels = any(g.label is not None for g in dataset)
     if has_labels:

@@ -28,7 +28,8 @@ class GraphDataError(ValueError):
     """Malformed or inconsistent graph input."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made C-contiguous and read-only (in place when it already is)."""
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -93,7 +94,7 @@ def make_graph(
             raise GraphDataError("duplicate edges with edge features present")
         order = sorted(range(len(canon)), key=lambda k: canon[k])
         edge_tuple = tuple(canon[k] for k in order)
-        ef = _freeze(ef[order])
+        ef = freeze(ef[order])
     else:
         edge_tuple = tuple(sorted(set(canon)))
         ef = None
@@ -106,7 +107,7 @@ def make_graph(
                 f"node_features rows {nf.shape[0] if nf.ndim else 0} "
                 f"!= {n_vertices} vertices"
             )
-        nf = _freeze(nf)
+        nf = freeze(nf)
 
     return Graph(n_vertices, edge_tuple, nf, ef, id=id, label=label)
 
@@ -241,7 +242,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     for u, v in g.edges:
         a[u, v] = 1.0
         a[v, u] = 1.0
-    return _freeze(a)
+    return freeze(a)
 
 
 @per_graph
@@ -251,7 +252,7 @@ def degree_vector(g: Graph) -> np.ndarray:
     for u, v in g.edges:
         deg[u] += 1
         deg[v] += 1
-    return _freeze(deg)
+    return freeze(deg)
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
@@ -283,7 +284,7 @@ def bfs_all_pairs(g: Graph) -> np.ndarray:
         reached = (frontier @ a > 0) & (dist == UNREACHABLE)
         dist[reached] = level
         frontier = reached.astype(np.float64)
-    return _freeze(dist)
+    return freeze(dist)
 
 
 @per_graph

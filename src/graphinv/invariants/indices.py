@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import Graph, UNREACHABLE, adjacency_matrix, bfs_all_pairs, degree_vector
-from ..linalg import eigenvalues_sym, sym_matrix
+from ..linalg import eigenvalues_sym
 from .basic import circuit_rank
 
 DEFAULT_RANDIC_EXPONENTS = (-1.0, 0.5)
@@ -63,7 +63,7 @@ def geometric_arithmetic(g: Graph) -> float:
 def estrada(g: Graph) -> float:
     if g.n_vertices == 0:
         return 0.0
-    return np.sum(np.exp(eigenvalues_sym(sym_matrix(adjacency_matrix(g)))))
+    return np.sum(np.exp(eigenvalues_sym(adjacency_matrix(g))))
 
 
 def zagreb_first(g: Graph) -> float:

@@ -1,5 +1,5 @@
 """Clique-complex skeleton: simplices by dimension and oriented boundary
-incidence matrices, from which Hodge Laplacians are assembled.
+incidence matrices, whose Gram matrices give the analytic torsion.
 
 Simplices are ordered lexicographically with orientation induced by
 sorted vertex ids, so every intermediate matrix is reproducible.
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import Graph, adjacency_sets
-from ..linalg import SymMatrix, sym_matrix
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,3 @@ def clique_complex(g: Graph, max_dim: int) -> SimplicialSkeleton:
         boundaries.append(b)
     return SimplicialSkeleton(tuple(by_dim), tuple(boundaries))
 
-
-def hodge_laplacian(skeleton: SimplicialSkeleton, p: int) -> SymMatrix:
-    """L_p = B_p^T B_p + B_{p+1} B_{p+1}^T over the skeleton's simplices."""
-    n_p = len(skeleton.simplices[p]) if p < len(skeleton.simplices) else 0
-    down = skeleton.boundaries[p] if p < len(skeleton.boundaries) else np.zeros((0, n_p))
-    lap = down.T @ down
-    if p + 1 < len(skeleton.boundaries):
-        up = skeleton.boundaries[p + 1]
-        lap = lap + up @ up.T
-    return sym_matrix(lap)

@@ -13,14 +13,14 @@ import numpy as np
 from ..graph import Graph, UNREACHABLE, adjacency_matrix, adjacency_sets, bfs_all_pairs, degree_vector, per_graph
 from ..linalg import (
     SingularMatrixError,
+    eigenvalues_sym,
     laplacian_pseudoinverse,
-    log_pseudo_determinant,
     solve_linear,
-    sym_matrix,
+    spectrum_log_pseudo_determinant,
 )
 from . import BlockFailure
 from .homcount import count_all_patterns, overflows_int64
-from .simplicial import clique_complex, hodge_laplacian
+from .simplicial import clique_complex
 from .transport import wasserstein_1
 
 DEFAULT_MAGNITUDE_Q = math.exp(-0.42)
@@ -45,21 +45,27 @@ def magnitude(g: Graph, q: float = DEFAULT_MAGNITUDE_Q) -> float:
     dist = bfs_all_pairs(g)
     z = np.where(dist == UNREACHABLE, 0.0, np.power(q, dist, dtype=np.float64))
     try:
-        x = solve_linear(sym_matrix(z), np.ones(n))
+        x = solve_linear(z, np.ones(n))
     except SingularMatrixError:
         raise BlockFailure("singular magnitude matrix") from None
     return float(np.sum(x))
 
 
 def analytic_torsion(g: Graph, max_dim: int = DEFAULT_TORSION_DIM) -> float:
-    """Alternating product of Hodge-Laplacian pseudo-determinants of the
-    clique complex: prod_p pdet(L_p)^{p (-1)^{p+1}}, accumulated in
-    log-space. The p = 0 exponent vanishes, so the product starts at 1."""
-    skeleton = clique_complex(g, max_dim)
+    """Alternating product prod_p pdet(L_p)^{p (-1)^{p+1}} of the clique
+    complex's Hodge-Laplacian pseudo-determinants, p = 1..max_dim.
+
+    L_p = B_p^T B_p + B_{p+1} B_{p+1}^T splits into orthogonal ranges
+    because B_p B_{p+1} = 0, so the product telescopes to
+    prod_q pdet(B_q^T B_q)^{(-1)^{q+1}}, q = 1..max_dim, and no L_p is
+    built. Each factor comes from the smaller Gram matrix of B_q (B^T B
+    when B has no more columns than rows, else B B^T: both share their
+    nonzero spectrum). Accumulated in log-space.
+    """
     log_total = 0.0
-    for p in range(1, max_dim + 1):
-        exponent = p * (-1.0) ** (p + 1)
-        log_total += exponent * log_pseudo_determinant(hodge_laplacian(skeleton, p))
+    for q, b in enumerate(clique_complex(g, max_dim).boundaries[1:], start=1):
+        gram = b.T @ b if b.shape[1] <= b.shape[0] else b @ b.T
+        log_total += (-1.0) ** (q + 1) * spectrum_log_pseudo_determinant(eigenvalues_sym(gram))
     return math.exp(log_total)
 
 
@@ -166,7 +172,7 @@ def commute_times(g: Graph) -> tuple[float, float]:
     n = g.n_vertices
     if n == 0:
         return 0.0, 0.0
-    lp = laplacian_pseudoinverse(g).entries
+    lp = laplacian_pseudoinverse(g)
     diag = np.diag(lp)
     c = (diag[:, None] + diag[None, :] - 2.0 * lp) * (2.0 * g.n_edges)
     return float(c.mean()), float(c.max())

@@ -1,18 +1,20 @@
-"""Dense symmetric linear algebra: eigendecomposition, pseudoinverse,
-log pseudo-determinant, and linear solves.
+"""Dense symmetric linear algebra on plain float64 arrays: eigenvalues,
+pseudoinverse, log pseudo-determinant and linear solves, plus the graph
+Laplacians and their spectra.
 
-Everything here is dense; the invariant suite targets graphs of modest
-order, and dense eigh keeps results bit-deterministic for identical
-input bits.
+Every matrix passed in is exactly symmetric (adjacency, Laplacians, the
+magnitude matrix and boundary Gram matrices are, bit for bit), so
+nothing is symmetrized on the way in. Every matrix and spectrum handed
+out is read-only. Everything here is dense; the invariant suite targets
+graphs of modest order, and dense eigh keeps results bit-deterministic
+for identical input bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, degree_vector, per_graph
+from .graph import Graph, adjacency_matrix, degree_vector, freeze, per_graph
 
 
 class NumericalError(RuntimeError):
@@ -23,41 +25,12 @@ class SingularMatrixError(NumericalError):
     """Matrix singular to working tolerance."""
 
 
-@dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """Real symmetric matrix, symmetrized on construction."""
-
-    entries: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
-def sym_matrix(entries: np.ndarray) -> SymMatrix:
-    m = np.asarray(entries, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    m = (m + m.T) / 2.0
-    m.flags.writeable = False
-    return SymMatrix(m)
-
-
-def eigenvalues_sym(m: SymMatrix) -> np.ndarray:
-    """All eigenvalues of the symmetrized matrix, ascending."""
-    if m.order == 0:
-        return np.zeros(0)
+def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric matrix ``m``, ascending."""
     try:
-        return np.linalg.eigvalsh(m.entries)
+        return freeze(np.linalg.eigvalsh(m))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed for order {m.order}: {exc}") from None
-
-
-def _eigh(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed for order {m.order}: {exc}") from None
+        raise NumericalError(f"eigendecomposition failed for order {len(m)}: {exc}") from None
 
 
 def default_rank_tol(eigenvalues: np.ndarray) -> float:
@@ -69,18 +42,22 @@ def default_rank_tol(eigenvalues: np.ndarray) -> float:
     return 1e-10 * max(radius, 1.0)
 
 
-def pseudoinverse(m: SymMatrix, rank_tol: float | None = None) -> SymMatrix:
-    """Moore-Penrose pseudoinverse via eigendecomposition.
+def pseudoinverse(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of the symmetric ``m`` via
+    eigendecomposition.
 
     Eigenvalues with ``|lam| <= rank_tol`` invert to 0, the rest to
-    ``1/lam``, reassembled in the same eigenbasis.
+    ``1/lam``, reassembled in the same eigenbasis. The reassembly is
+    symmetric only up to rounding, so the result is (P + P^T) / 2.
     """
-    if m.order == 0:
-        return m
-    lam, vec = _eigh(m)
+    try:
+        lam, vec = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed for order {len(m)}: {exc}") from None
     tol = default_rank_tol(lam) if rank_tol is None else rank_tol
     inv = np.where(np.abs(lam) > tol, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
-    return sym_matrix((vec * inv) @ vec.T)
+    p = (vec * inv) @ vec.T
+    return freeze((p + p.T) / 2.0)
 
 
 def spectrum_log_pseudo_determinant(lam: np.ndarray, rank_tol: float | None = None) -> float:
@@ -95,27 +72,20 @@ def spectrum_log_pseudo_determinant(lam: np.ndarray, rank_tol: float | None = No
     return float(np.sum(np.log(keep))) if keep.size else 0.0
 
 
-def log_pseudo_determinant(m: SymMatrix, rank_tol: float | None = None) -> float:
-    """log |pseudo-determinant| of a positive-semidefinite matrix."""
-    return spectrum_log_pseudo_determinant(eigenvalues_sym(m), rank_tol)
-
-
-def solve_linear(m: SymMatrix, rhs: np.ndarray) -> np.ndarray:
+def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``m x = rhs``; raises SingularMatrixError when the residual
     exceeds ``1e-8 * ||rhs||``."""
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (m.order,):
-        raise ValueError(f"rhs length {rhs.shape} incompatible with order {m.order}")
-    if m.order == 0:
-        return np.zeros(0)
+    if rhs.shape != (len(m),):
+        raise ValueError(f"rhs length {rhs.shape} incompatible with order {len(m)}")
     try:
-        x = np.linalg.solve(m.entries, rhs)
+        x = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(f"singular matrix of order {m.order}") from None
-    residual = np.linalg.norm(m.entries @ x - rhs)
+        raise SingularMatrixError(f"singular matrix of order {len(m)}") from None
+    residual = np.linalg.norm(m @ x - rhs)
     if residual > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
         raise SingularMatrixError(
-            f"matrix of order {m.order} singular to tolerance (residual {residual:.3e})"
+            f"matrix of order {len(m)} singular to tolerance (residual {residual:.3e})"
         )
     return x
 
@@ -125,13 +95,12 @@ def solve_linear(m: SymMatrix, rhs: np.ndarray) -> np.ndarray:
 
 
 @per_graph
-def laplacian(g: Graph) -> SymMatrix:
+def laplacian(g: Graph) -> np.ndarray:
     """Unnormalized Laplacian D - A."""
-    a = adjacency_matrix(g)
-    return sym_matrix(np.diag(degree_vector(g).astype(np.float64)) - a)
+    return freeze(np.diag(degree_vector(g).astype(np.float64)) - adjacency_matrix(g))
 
 
-def normalized_laplacian(g: Graph) -> SymMatrix:
+def normalized_laplacian(g: Graph) -> np.ndarray:
     """Symmetrically normalized Laplacian D^{-1/2} (D - A) D^{-1/2}.
 
     Isolated vertices get zero rows/columns (diagonal 0, not 1), so the
@@ -139,8 +108,7 @@ def normalized_laplacian(g: Graph) -> SymMatrix:
     """
     deg = degree_vector(g).astype(np.float64)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg == 0, 1.0, deg)), 0.0)
-    lap = laplacian(g).entries
-    return sym_matrix(lap * np.outer(inv_sqrt, inv_sqrt))
+    return freeze(laplacian(g) * np.outer(inv_sqrt, inv_sqrt))
 
 
 @per_graph
@@ -154,5 +122,5 @@ def laplacian_spectrum(g: Graph) -> np.ndarray:
 
 
 @per_graph
-def laplacian_pseudoinverse(g: Graph) -> SymMatrix:
+def laplacian_pseudoinverse(g: Graph) -> np.ndarray:
     return pseudoinverse(laplacian(g))

@@ -8,6 +8,7 @@ for an externally trained tabular model.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,7 +144,8 @@ def nearest_centroid_accuracy(table: MetaTable) -> CentroidResult:
         raise ValueError("every label needs at least one train row")
 
     train = x[is_train]
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():  # all-NaN or infinite columns warn; `usable` drops them
+        warnings.simplefilter("ignore", RuntimeWarning)
         mean = np.nanmean(train, axis=0)
         std = np.nanstd(train, axis=0)
     usable = np.isfinite(mean) & np.isfinite(std) & (std > 0)

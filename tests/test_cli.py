@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphinv.cli import main
-from graphinv.graph import graph_to_obj
+from graphinv.graph import graph_to_obj, make_graph
 
 from conftest import cycle_graph, erdos_renyi, two_triangles
 
@@ -35,6 +35,12 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["fingerprint", "--bogus"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flag,value", [("--q", "abc"), ("--randic-exponents", "1,x")])
+    def test_malformed_override_value_is_usage_error(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["list-invariants", flag, value])
         assert exc.value.code == 1
 
     def test_missing_file_is_data_error(self, tmp_path):
@@ -225,6 +231,22 @@ class TestMetaCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert "nearest-centroid accuracy" in capsys.readouterr().out
+
+    def test_all_nan_train_columns_leave_stderr_empty(self, tmp_path, capsys):
+        # Edgeless graphs fail both curvature blocks, so those columns are
+        # NaN on every train row; the classifier drops them without a warning.
+        paths = []
+        for name in ("a", "b"):
+            paths.append(tmp_path / f"{name}.jsonl")
+            write_dataset(paths[-1], [make_graph(3, [], id=f"{name}{i}") for i in range(6)])
+        code = main([
+            "meta", "--datasets", *map(str, paths), "--regime", "reduced",
+            "--sample", "6", "--out", str(tmp_path / "m.csv"), "--smoke-accuracy",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "nearest-centroid accuracy: 0.500" in out
+        assert err == ""
 
     def test_label_filter_unknown_is_data_error(self, tmp_path, rng):
         d1 = tmp_path / "a.jsonl"

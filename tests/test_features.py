@@ -100,17 +100,13 @@ class TestAssembleRow:
 
     def test_sum_with_full_s(self):
         cat = build_catalog(RegimeConfig(subset="S"))
-        vec, fp = assemble_row(complete_graph(2), FeatureConfig(combine_with="S"), cat)
+        vec, fp = assemble_row(complete_graph(2), FeatureConfig(), cat)
         assert vec.tolist() == [2.0]
         assert fp is not None and len(fp.blocks) == 5
 
     def test_agg_hop1_k2(self):
         vec, _ = assemble_row(complete_graph(2), FeatureConfig(mode="agg", hops=1))
         assert vec.tolist() == [2.0, 2.0]
-
-    def test_combine_requires_catalog(self):
-        with pytest.raises(ValueError):
-            assemble_row(complete_graph(2), FeatureConfig(combine_with="I"), None)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -140,7 +136,7 @@ class TestCsv:
         cat = build_catalog(RegimeConfig(subset="S"))
         ds = GraphDataset((complete_graph(2),), name="t")
         path = tmp_path / "rows.csv"
-        write_features_csv(ds, FeatureConfig(mode="sum", combine_with="S"), cat, path)
+        write_features_csv(ds, FeatureConfig(mode="sum"), cat, path)
         header = path.read_text().splitlines()[0].split(",")
         assert header[:2] == ["graph_id", "sum.0.0"]
         assert "analytic_torsion.0" in header and "analytic_torsion.status" in header

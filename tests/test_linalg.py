@@ -8,13 +8,13 @@ from graphinv.linalg import (
     SingularMatrixError,
     eigenvalues_sym,
     laplacian,
+    laplacian_pseudoinverse,
     laplacian_spectrum,
-    log_pseudo_determinant,
     normalized_laplacian,
     normalized_laplacian_spectrum,
     pseudoinverse,
     solve_linear,
-    sym_matrix,
+    spectrum_log_pseudo_determinant,
 )
 
 from conftest import complete_graph, cycle_graph, empty_graph, random_graph
@@ -25,6 +25,10 @@ def random_sym(rng: random.Random, n: int) -> np.ndarray:
     return (m + m.T) / 2
 
 
+def log_pdet(m: np.ndarray) -> float:
+    return spectrum_log_pseudo_determinant(eigenvalues_sym(m))
+
+
 class TestEigenvalues:
     def test_k2_normalized_laplacian(self):
         lam = normalized_laplacian_spectrum(complete_graph(2))
@@ -32,14 +36,14 @@ class TestEigenvalues:
 
     def test_empty_graph_is_zero_matrix(self):
         # isolated-vertex convention: zero diagonal, not identity
-        m = normalized_laplacian(empty_graph(3)).entries
+        m = normalized_laplacian(empty_graph(3))
         assert np.all(m == 0)
         assert np.allclose(normalized_laplacian_spectrum(empty_graph(3)), 0.0)
 
     def test_c4_adjacency_spectrum(self):
         from graphinv.graph import adjacency_matrix
 
-        lam = eigenvalues_sym(sym_matrix(adjacency_matrix(cycle_graph(4))))
+        lam = eigenvalues_sym(adjacency_matrix(cycle_graph(4)))
         assert np.allclose(lam, [-2.0, 0.0, 0.0, 2.0], atol=1e-9)
 
     def test_normalized_spectrum_in_0_2(self, rng):
@@ -65,21 +69,21 @@ class TestEigenvalues:
         for _ in range(30):
             n = rng.randint(2, 50)
             m = random_sym(rng, n)
-            lam = eigenvalues_sym(sym_matrix(m))
+            lam = eigenvalues_sym(m)
             assert math.isclose(float(np.trace(m)), float(lam.sum()), rel_tol=1e-8, abs_tol=1e-8)
 
 
 class TestPseudoinverse:
     def test_k2_laplacian(self):
-        got = pseudoinverse(laplacian(complete_graph(2))).entries
+        got = pseudoinverse(laplacian(complete_graph(2)))
         want = 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert np.allclose(got, want, atol=1e-12)
 
     def test_zero_matrix(self):
-        assert np.all(pseudoinverse(sym_matrix(np.zeros((3, 3)))).entries == 0)
+        assert np.all(pseudoinverse(np.zeros((3, 3))) == 0)
 
     def test_identity(self):
-        assert np.allclose(pseudoinverse(sym_matrix(np.eye(4))).entries, np.eye(4))
+        assert np.allclose(pseudoinverse(np.eye(4)), np.eye(4))
 
     def test_penrose_identity(self, rng):
         for _ in range(20):
@@ -88,7 +92,7 @@ class TestPseudoinverse:
             if rng.random() < 0.5:  # force rank deficiency
                 m[:, 0] = m[:, 1]
                 m = (m + m.T) / 2
-            pinv = pseudoinverse(sym_matrix(m)).entries
+            pinv = pseudoinverse(m)
             assert np.allclose(m @ pinv @ m, m, atol=1e-8 * max(1.0, np.abs(m).max()))
 
     def test_permutation_equivariance(self, rng):
@@ -98,35 +102,52 @@ class TestPseudoinverse:
             perm = list(range(n))
             rng.shuffle(perm)
             p = np.eye(n)[perm]
-            lhs = p @ pseudoinverse(sym_matrix(m)).entries @ p.T
-            rhs = pseudoinverse(sym_matrix(p @ m @ p.T)).entries
+            lhs = p @ pseudoinverse(m) @ p.T
+            rhs = pseudoinverse(p @ m @ p.T)
             assert np.allclose(lhs, rhs, atol=1e-8)
 
 
 class TestPseudoDeterminant:
     def test_k2_laplacian(self):
-        assert math.isclose(log_pseudo_determinant(laplacian(complete_graph(2))), math.log(2.0), rel_tol=1e-12)
+        assert math.isclose(log_pdet(laplacian(complete_graph(2))), math.log(2.0), rel_tol=1e-12)
 
     def test_identity(self):
-        assert log_pseudo_determinant(sym_matrix(np.eye(3))) == pytest.approx(0.0, abs=1e-12)
+        assert log_pdet(np.eye(3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_c3_laplacian(self):
-        assert log_pseudo_determinant(laplacian(cycle_graph(3))) == pytest.approx(math.log(9.0), rel=1e-9)
+        assert log_pdet(laplacian(cycle_graph(3))) == pytest.approx(math.log(9.0), rel=1e-9)
 
     def test_zero_matrix_empty_product(self):
-        assert log_pseudo_determinant(sym_matrix(np.zeros((4, 4)))) == 0.0
+        assert log_pdet(np.zeros((4, 4))) == 0.0
 
 
 class TestSolve:
     def test_identity(self):
-        x = solve_linear(sym_matrix(np.eye(2)), np.array([3.0, 4.0]))
+        x = solve_linear(np.eye(2), np.array([3.0, 4.0]))
         assert np.allclose(x, [3.0, 4.0])
 
     def test_diagonal(self):
-        x = solve_linear(sym_matrix(2 * np.eye(2)), np.array([2.0, 2.0]))
+        x = solve_linear(2 * np.eye(2), np.array([2.0, 2.0]))
         assert np.allclose(x, [1.0, 1.0])
 
     def test_singular_raises(self):
-        m = sym_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        m = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
             solve_linear(m, np.array([1.0, 0.0]))
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("fn", [
+        laplacian, normalized_laplacian, laplacian_spectrum,
+        normalized_laplacian_spectrum, laplacian_pseudoinverse,
+    ])
+    def test_graph_results_are_read_only(self, fn):
+        # The per-graph cache hands every caller the same array.
+        arr = fn(cycle_graph(5))
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+    def test_matrix_results_are_read_only(self):
+        assert not eigenvalues_sym(np.eye(3)).flags.writeable
+        assert not pseudoinverse(np.eye(3)).flags.writeable

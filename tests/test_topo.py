@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from graphinv.graph import adjacency_matrix, degree_vector, relabel
 from graphinv.invariants import BlockFailure, homcount, topo
 from graphinv.invariants.homcount import count_all_patterns, count_patterns
 from graphinv.invariants.patterns import PATTERN_CATALOG, canonical_form
-from graphinv.invariants.simplicial import clique_complex, hodge_laplacian
+from graphinv.invariants.simplicial import clique_complex
 from graphinv.invariants.topo import (
     DEFAULT_MAGNITUDE_Q,
     analytic_torsion,
@@ -36,6 +36,7 @@ from conftest import (
 )
 from strategies import block_graphs
 from oracles import (
+    analytic_torsion_hodge,
     commute_time_simulation,
     count_homomorphisms_einsum,
     count_homomorphisms_exhaustive,
@@ -144,6 +145,12 @@ class TestAnalyticTorsion:
 
     def test_dimension_cap_three(self):
         assert np.isfinite(analytic_torsion(complete_graph(5), max_dim=3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_graphs(max_n=10), st.integers(0, 4))
+    def test_matches_hodge_laplacians(self, g, max_dim):
+        want = analytic_torsion_hodge(g.n_vertices, g.edges, max_dim)
+        assert analytic_torsion(g, max_dim) == pytest.approx(want, rel=1e-10, abs=0)
 
 
 class TestHomomorphismCounts:
@@ -382,7 +389,7 @@ class TestCommuteTime:
         g = path_graph(4)
         from graphinv.linalg import laplacian_pseudoinverse
 
-        lp = laplacian_pseudoinverse(g).entries
+        lp = laplacian_pseudoinverse(g)
         vol = 2.0 * g.n_edges
         for u, v in g.edges:
             commute = vol * (lp[u, u] + lp[v, v] - 2 * lp[u, v])
