@@ -125,10 +125,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _count_failures(rows) -> int:
-    return sum(1 for vec in rows for block in vec.blocks if not block.ok)
-
-
 def _cmd_list_invariants(args) -> int:
     catalog = build_catalog(_config_from_args(args))
     for d in catalog:
@@ -140,10 +136,10 @@ def _cmd_fingerprint(args) -> int:
     config = _config_from_args(args)
     catalog = build_catalog(config)
     ds = load_jsonl(args.dataset)
-    rows = fingerprint_dataset(ds, catalog)
-    write_fingerprint_csv(rows, catalog, args.out, config)
-    failures = _count_failures(rows)
-    print(f"wrote {len(rows)} rows x {sum(d.width for d in catalog)} values to {args.out} "
+    table = fingerprint_dataset(ds, catalog)
+    write_fingerprint_csv(table, args.out, config)
+    failures = sum(table.failure_counts().values())
+    print(f"wrote {len(ds)} rows x {table.values.shape[1]} values to {args.out} "
           f"({failures} failed blocks)")
     if args.strict and failures:
         return EXIT_NUMERICAL
@@ -198,10 +194,10 @@ def _cmd_meta(args) -> int:
         sample_size=args.sample, test_fraction=args.test_frac,
         seed=args.seed,
     )
-    export_meta_csv(table, args.out, catalog, config)
+    export_meta_csv(table, args.out, config)
     for w in table.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"wrote {len(table.rows)} rows ({len(table.label_names)} labels) to {args.out}")
+    print(f"wrote {len(table.labels)} rows ({len(table.label_names)} labels) to {args.out}")
     if args.smoke_accuracy:
         result = nearest_centroid_accuracy(table)
         print(f"nearest-centroid accuracy: {result.overall_accuracy:.3f}")
@@ -210,8 +206,7 @@ def _cmd_meta(args) -> int:
         print("confusion matrix (rows = true label):")
         for row in result.confusion:
             print("  " + " ".join(f"{int(x):5d}" for x in row))
-    failures = _count_failures(table.rows)
-    if args.strict and failures:
+    if args.strict and table.fingerprints.failure_counts():
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph, GraphDataError, graph_from_obj, make_graph, read_jsonl
-from .registry import InvariantDescriptor, fingerprint, write_csv
+from .registry import InvariantDescriptor, fingerprint_dataset, write_csv
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,14 @@ class DifferentiationReport:
     invariant_names: tuple[str, ...]
     pair_ids: tuple[str, ...]
     categories: tuple[str, ...]
-    differentiated: np.ndarray  # (n_pairs, n_invariants) bool
     max_rel_diff: np.ndarray  # (n_pairs, n_invariants) float, NaN for failed blocks
     tolerance: float
     mode: str  # "relative" or "absolute"
+
+    @property
+    def differentiated(self) -> np.ndarray:
+        """(n_pairs, n_invariants) bool; a NaN difference never differentiates."""
+        return self.max_rel_diff > self.tolerance
 
     def pair_differentiated(self) -> np.ndarray:
         return self.differentiated.any(axis=1)
@@ -62,19 +66,6 @@ class DifferentiationReport:
         return {"size": size, "count": count, "accuracy": count / size if size else 0.0}
 
 
-def _block_difference(left, right, tol: float, mode: str) -> tuple[bool, float]:
-    if not (left.ok and right.ok):
-        return False, float("nan")
-    a, b = left.values, right.values
-    abs_diff = np.abs(a - b)
-    if mode == "relative":
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-        delta = float(np.max(abs_diff / scale)) if abs_diff.size else 0.0
-    else:
-        delta = float(np.max(abs_diff)) if abs_diff.size else 0.0
-    return delta > tol, delta
-
-
 def score_pairs(
     pairs: list[GraphPair],
     catalog: tuple[InvariantDescriptor, ...],
@@ -82,7 +73,9 @@ def score_pairs(
     mode: str = "relative",
 ) -> DifferentiationReport:
     """Fingerprint both sides of every pair, serially and in pair order,
-    and tabulate differentiation."""
+    and take each block's largest difference: relative to the larger
+    magnitude with a floor of 1, or absolute. A block failed on either
+    side gets NaN, as does one holding the same infinity on both sides."""
     if not pairs:
         raise ValueError("no pairs to score")
     if mode not in ("relative", "absolute"):
@@ -90,18 +83,19 @@ def score_pairs(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
-    differentiated = np.zeros((len(pairs), len(catalog)), dtype=bool)
-    max_rel_diff = np.zeros((len(pairs), len(catalog)))
-    for i, pair in enumerate(pairs):
-        v_left = fingerprint(pair.left, catalog)
-        v_right = fingerprint(pair.right, catalog)
-        for j, (lb, rb) in enumerate(zip(v_left.blocks, v_right.blocks)):
-            differentiated[i, j], max_rel_diff[i, j] = _block_difference(lb, rb, tol, mode)
+    sides = fingerprint_dataset([g for p in pairs for g in (p.left, p.right)], catalog)
+    left, right = sides.values[0::2], sides.values[1::2]
+    ok = sides.ok()
+    starts = np.cumsum([0, *(d.width for d in catalog)])[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN here
+        diff = np.abs(left - right)
+        if mode == "relative":
+            diff /= np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
+    max_rel_diff = np.where(ok[0::2] & ok[1::2], np.maximum.reduceat(diff, starts, axis=1), np.nan)
     return DifferentiationReport(
         invariant_names=tuple(d.name for d in catalog),
         pair_ids=tuple(p.pair_id for p in pairs),
         categories=tuple(p.category for p in pairs),
-        differentiated=differentiated,
         max_rel_diff=max_rel_diff,
         tolerance=tol,
         mode=mode,

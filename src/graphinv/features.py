@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, incidence_matrix
-from .registry import (
-    FingerprintVector,
-    InvariantDescriptor,
-    fingerprint,
-    fingerprint_header,
-    fingerprint_row,
-    write_csv,
-)
+from .registry import fingerprint_dataset, write_csv
 
 DEFAULT_HOPS = 3
 
@@ -79,17 +72,6 @@ def feature_columns(config: FeatureConfig, dim: int) -> list[str]:
     return [f"{config.mode}.{i}.{d}" for i in range(n_blocks) for d in range(dim)]
 
 
-def assemble_row(
-    g: Graph,
-    config: FeatureConfig,
-    catalog: tuple[InvariantDescriptor, ...] | None = None,
-) -> tuple[np.ndarray, FingerprintVector | None]:
-    """Feature vector for one graph, plus its fingerprint when a catalog
-    of invariants is given to combine with."""
-    vec = feature_sum(g) if config.mode == "sum" else feature_agg(g, config.hops)
-    return vec, None if catalog is None else fingerprint(g, catalog)
-
-
 def _format_label(label) -> str:
     if isinstance(label, (list, tuple)):
         return ";".join(_format_label(x) for x in label)
@@ -102,27 +84,28 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
     """One row per graph: graph_id, feature columns, invariant columns and
     statuses when a catalog is given, and a trailing label column when the
     dataset carries targets."""
-    rows = [assemble_row(g, config, catalog) for g in dataset]
-    dims = {vec.shape[0] for vec, _ in rows}
+    fingerprints = None if catalog is None else fingerprint_dataset(dataset, catalog)
+    vecs = [feature_sum(g) if config.mode == "sum" else feature_agg(g, config.hops) for g in dataset]
+    dims = {vec.shape[0] for vec in vecs}
     if len(dims) > 1:
         raise ValueError(f"inconsistent feature widths across dataset: {sorted(dims)}")
 
     header: list[str] = ["graph_id"]
-    if rows:
+    if vecs:
         n_blocks = config.hops + 1 if config.mode == "agg" else 1
         dim = next(iter(dims)) // n_blocks
         header += feature_columns(config, dim)
-    if catalog is not None:
-        header += fingerprint_header(catalog)[1:]  # skip duplicate graph_id
+    if fingerprints is not None:
+        header += fingerprints.value_columns() + fingerprints.status_columns()
     has_labels = any(g.label is not None for g in dataset)
     if has_labels:
         header.append("label")
 
     body = []
-    for g, (vec, fp) in zip(dataset, rows):
+    for i, (g, vec) in enumerate(zip(dataset, vecs)):
         cells = [g.id] + [repr(float(x)) for x in vec]
-        if fp is not None:
-            cells += fingerprint_row(fp)[1:]
+        if fingerprints is not None:
+            cells += fingerprints.value_cells(i) + list(fingerprints.statuses[i])
         if has_labels:
             cells.append("" if g.label is None else _format_label(g.label))
         body.append(cells)

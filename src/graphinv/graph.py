@@ -305,7 +305,8 @@ def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
-    """Apply a vertex permutation: vertex i becomes perm[i]."""
+    """Apply a vertex permutation: vertex i becomes perm[i]. ``make_graph``
+    re-sorts the permuted edges and their feature rows together."""
     if sorted(perm) != list(range(g.n_vertices)):
         raise GraphDataError("perm is not a permutation of the vertex set")
     edges = [(perm[u], perm[v]) for u, v in g.edges]
@@ -314,10 +315,6 @@ def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
         out = np.empty_like(nf)
         out[list(perm)] = nf
         nf = out
-    ef = g.edge_features
-    if ef is not None:
-        canon = [tuple(sorted(e)) for e in edges]
-        order = sorted(range(len(canon)), key=lambda k: canon[k])
-        ef = ef[order]
-        edges = [edges[k] for k in order]
-    return make_graph(g.n_vertices, edges, node_features=nf, edge_features=ef, id=g.id, label=g.label)
+    return make_graph(
+        g.n_vertices, edges, node_features=nf, edge_features=g.edge_features, id=g.id, label=g.label
+    )

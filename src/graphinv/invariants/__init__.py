@@ -38,7 +38,3 @@ class InvariantValue:
     @property
     def ok(self) -> bool:
         return self.status == OK
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[0]

@@ -16,12 +16,10 @@ import numpy as np
 
 from .graph import GraphDataset
 from .registry import (
-    FingerprintVector,
+    FingerprintTable,
     InvariantDescriptor,
     RegimeConfig,
     fingerprint_dataset,
-    fingerprint_header,
-    fingerprint_row,
     write_csv,
     write_sidecar,
 )
@@ -34,15 +32,12 @@ DEFAULT_TEST_FRACTION = 0.2
 class MetaTable:
     """Labeled fingerprint rows with train/test split markers."""
 
-    rows: tuple[FingerprintVector, ...]
+    fingerprints: FingerprintTable
     labels: tuple[int, ...]
     splits: tuple[str, ...]  # "train" | "test"
     label_names: tuple[str, ...]
     seed: int
     warnings: tuple[str, ...] = ()
-
-    def matrix(self) -> np.ndarray:
-        return np.stack([r.concatenated() for r in self.rows])
 
 
 def assemble_meta_table(
@@ -52,8 +47,9 @@ def assemble_meta_table(
     test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
 ) -> MetaTable:
-    """Sample uniformly without replacement per dataset, fingerprint, and
-    split per label (stratified). Deterministic for a given seed."""
+    """Sample uniformly without replacement and split (stratified) per
+    dataset, then fingerprint every sampled graph in one batch, in dataset
+    order. Deterministic for a given seed."""
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     if not 0.0 < test_fraction < 1.0:
@@ -63,7 +59,7 @@ def assemble_meta_table(
             raise ValueError(f"dataset {ds.name!r} is empty")
 
     rng = np.random.default_rng(seed)
-    rows: list[FingerprintVector] = []
+    graphs = []
     labels: list[int] = []
     splits: list[str] = []
     warnings: list[str] = []
@@ -77,20 +73,15 @@ def assemble_meta_table(
             chosen = np.arange(n)
         else:
             chosen = np.sort(rng.choice(n, size=sample_size, replace=False))
-        graphs = [ds.graphs[i] for i in chosen]
-        sub = GraphDataset(tuple(graphs), name=ds.name)
-        vecs = fingerprint_dataset(sub, catalog)
-
-        n_rows = len(vecs)
+        n_rows = len(chosen)
         n_test = min(max(int(round(test_fraction * n_rows)), 1), n_rows - 1) if n_rows > 1 else 0
         test_idx = set(rng.permutation(n_rows)[:n_test].tolist())
-        for i, vec in enumerate(vecs):
-            rows.append(vec)
-            labels.append(label)
-            splits.append("test" if i in test_idx else "train")
+        graphs += [ds.graphs[i] for i in chosen]
+        labels += [label] * n_rows
+        splits += ["test" if i in test_idx else "train" for i in range(n_rows)]
 
     return MetaTable(
-        rows=tuple(rows),
+        fingerprints=fingerprint_dataset(graphs, catalog),
         labels=tuple(labels),
         splits=tuple(splits),
         label_names=tuple(ds.name for ds in datasets),
@@ -99,23 +90,23 @@ def assemble_meta_table(
     )
 
 
-def export_meta_csv(table: MetaTable, path: str | Path, catalog, config: RegimeConfig) -> None:
+def export_meta_csv(table: MetaTable, path: str | Path, config: RegimeConfig) -> None:
     """CSV of fingerprint columns plus integer `label` and `split` columns;
     a JSON sidecar maps label indices to dataset names."""
-    values = slice(1, 1 + sum(d.width for d in catalog))
+    fp = table.fingerprints
     write_csv(
         path,
-        fingerprint_header(catalog)[values] + ["label", "split"],
+        fp.value_columns() + ["label", "split"],
         (
-            fingerprint_row(vec)[values] + [str(label), split]
-            for vec, label, split in zip(table.rows, table.labels, table.splits)
+            fp.value_cells(i) + [str(label), split]
+            for i, (label, split) in enumerate(zip(table.labels, table.splits))
         ),
     )
     write_sidecar(
         path, config,
         labels={str(i): name for i, name in enumerate(table.label_names)},
         seed=table.seed,
-        n_rows=len(table.rows),
+        n_rows=len(table.labels),
         warnings=list(table.warnings),
     )
 
@@ -132,13 +123,14 @@ def nearest_centroid_accuracy(table: MetaTable) -> CentroidResult:
     """Train-normalized nearest-centroid classification of the test rows.
 
     Columns are z-scored on train statistics with NaN imputed to the train
-    mean; zero-variance (or all-NaN) columns are excluded from distances.
+    mean; zero-variance (or all-NaN) columns are excluded from distances,
+    and a table with no other column raises ValueError.
     """
     labels = np.asarray(table.labels)
     n_labels = len(table.label_names)
     if n_labels < 2:
         raise ValueError("nearest-centroid needs at least 2 labels")
-    x = table.matrix()
+    x = table.fingerprints.values
     is_train = np.array([s == "train" for s in table.splits])
     if not all(is_train[labels == k].any() for k in range(n_labels)):
         raise ValueError("every label needs at least one train row")
@@ -149,6 +141,8 @@ def nearest_centroid_accuracy(table: MetaTable) -> CentroidResult:
         mean = np.nanmean(train, axis=0)
         std = np.nanstd(train, axis=0)
     usable = np.isfinite(mean) & np.isfinite(std) & (std > 0)
+    if not usable.any():
+        raise ValueError("nearest-centroid has no usable column: each is constant or NaN on train rows")
     excluded = tuple(int(i) for i in np.flatnonzero(~usable))
 
     xz = np.where(np.isnan(x), mean, x)

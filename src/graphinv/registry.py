@@ -1,5 +1,6 @@
-"""Invariant catalog, regime/subset configuration, fingerprint assembly,
-and the CSV and sidecar writers every command's output goes through.
+"""Invariant catalog, regime/subset configuration, the fingerprint table
+every command computes its invariants into, and the CSV and sidecar
+writers every command's output goes through.
 
 The catalog alone names and sizes the blocks, and its ``block`` helper
 alone turns what a block function returns or raises into an
@@ -24,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import Graph, GraphDataset
+from .graph import Graph, freeze
 from .invariants import OK, BlockFailure, InvariantValue
 from .invariants import basic, entropy, indices, topo
 from .invariants.transport import TransportError
@@ -235,33 +236,58 @@ def build_catalog(config: RegimeConfig) -> tuple[InvariantDescriptor, ...]:
 # Fingerprinting
 
 
-@dataclass(frozen=True)
-class FingerprintVector:
-    """One graph's block values, in the order of its catalog."""
-
-    graph_id: str
-    blocks: tuple[InvariantValue, ...]
-
-    @property
-    def width(self) -> int:
-        return sum(b.width for b in self.blocks)
-
-    def concatenated(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros(0)
-        return np.concatenate([b.values for b in self.blocks])
-
-
-def fingerprint(g: Graph, catalog: tuple[InvariantDescriptor, ...]) -> FingerprintVector:
+def fingerprint(g: Graph, catalog: tuple[InvariantDescriptor, ...]) -> tuple[InvariantValue, ...]:
     """Compute every catalog block for one graph, in catalog order."""
-    return FingerprintVector(g.id, tuple(d.compute(g) for d in catalog))
+    return tuple(d.compute(g) for d in catalog)
+
+
+@dataclass(frozen=True)
+class FingerprintTable:
+    """The fingerprints of a batch of graphs, one row per graph: every
+    command reads its invariant values from here. It alone names the
+    value and status columns, formats value cells (``repr`` of the
+    float, so ``nan`` and ``inf`` read back) and counts failed blocks."""
+
+    catalog: tuple[InvariantDescriptor, ...]
+    graph_ids: tuple[str, ...]
+    values: np.ndarray  # (rows, catalog width) float64, read-only; blocks side by side
+    statuses: tuple[tuple[str, ...], ...]  # per row, one status per block
+
+    def value_columns(self) -> list[str]:
+        return [f"{d.name}.{i}" for d in self.catalog for i in range(d.width)]
+
+    def status_columns(self) -> list[str]:
+        return [f"{d.name}.status" for d in self.catalog]
+
+    def value_cells(self, row: int) -> list[str]:
+        return [repr(x) for x in self.values[row].tolist()]
+
+    def ok(self) -> np.ndarray:
+        """(rows, blocks) bool: which blocks came out ``ok``."""
+        shape = (len(self.graph_ids), len(self.catalog))
+        return np.array(self.statuses, dtype=object).reshape(shape) == OK
+
+    def failure_counts(self) -> Counter:
+        """Failed blocks per block name, over every row."""
+        return Counter(
+            d.name for row in self.statuses for d, status in zip(self.catalog, row) if status != OK
+        )
 
 
 def fingerprint_dataset(
-    ds: GraphDataset, catalog: tuple[InvariantDescriptor, ...]
-) -> list[FingerprintVector]:
-    """Fingerprint every graph, serially and in dataset order."""
-    return [fingerprint(g, catalog) for g in ds]
+    graphs: Iterable[Graph], catalog: tuple[InvariantDescriptor, ...]
+) -> FingerprintTable:
+    """The one batch loop: fingerprint every graph, serially and in order,
+    through the module-level ``fingerprint``."""
+    graphs = tuple(graphs)
+    rows = [fingerprint(g, catalog) for g in graphs]
+    values = np.concatenate([b.values for row in rows for b in row] or [np.zeros(0)])
+    return FingerprintTable(
+        catalog,
+        tuple(g.id for g in graphs),
+        freeze(values.reshape(len(rows), sum(d.width for d in catalog))),
+        tuple(tuple(b.status for b in row) for row in rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,38 +315,16 @@ def write_sidecar(path: str | Path, config: RegimeConfig, **fields) -> None:
     )
 
 
-def _format_value(x: float) -> str:
-    return repr(float(x))
-
-
-def fingerprint_header(catalog: tuple[InvariantDescriptor, ...]) -> list[str]:
-    cols = ["graph_id"]
-    for d in catalog:
-        cols.extend(f"{d.name}.{i}" for i in range(d.width))
-    cols.extend(f"{d.name}.status" for d in catalog)
-    return cols
-
-
-def fingerprint_row(vec: FingerprintVector) -> list[str]:
-    row = [vec.graph_id]
-    for value in vec.blocks:
-        row.extend(_format_value(x) for x in value.values)
-    row.extend(value.status for value in vec.blocks)
-    return row
-
-
-def write_fingerprint_csv(
-    rows: list[FingerprintVector],
-    catalog: tuple[InvariantDescriptor, ...],
-    path: str | Path,
-    config: RegimeConfig,
-) -> None:
+def write_fingerprint_csv(table: FingerprintTable, path: str | Path, config: RegimeConfig) -> None:
     """CSV (graph_id, value columns, status columns) plus a JSON sidecar
     recording config, schema version, and failure counts."""
-    header = fingerprint_header(catalog)
-    write_csv(path, header, (fingerprint_row(v) for v in rows))
-
-    failure_counts = Counter(
-        d.name for vec in rows for d, value in zip(catalog, vec.blocks) if not value.ok
+    header = ["graph_id", *table.value_columns(), *table.status_columns()]
+    write_csv(
+        path,
+        header,
+        ([gid, *table.value_cells(i), *table.statuses[i]] for i, gid in enumerate(table.graph_ids)),
     )
-    write_sidecar(path, config, n_rows=len(rows), columns=header, failure_counts=failure_counts)
+    write_sidecar(
+        path, config,
+        n_rows=len(table.graph_ids), columns=header, failure_counts=table.failure_counts(),
+    )

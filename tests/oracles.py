@@ -425,3 +425,24 @@ def commute_time_simulation(n, edges, i, j, walks=4000, rng=None) -> float:
                 target = i
         total += steps
     return total / walks
+
+
+# ---------------------------------------------------------------------------
+# Pair differentiation, one block at a time
+
+
+def block_difference(left, right, tol: float, mode: str) -> tuple[bool, float]:
+    """Verdict and largest difference of one block between the two
+    InvariantValues of a pair: relative to the larger magnitude with a
+    floor of 1, or absolute. Never differentiated when either side failed."""
+    if not (left.ok and right.ok):
+        return False, float("nan")
+    a, b = left.values, right.values
+    with np.errstate(invalid="ignore"):  # the same infinity on both sides gives NaN
+        abs_diff = np.abs(a - b)
+        if mode == "relative":
+            scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+            delta = float(np.max(abs_diff / scale)) if abs_diff.size else 0.0
+        else:
+            delta = float(np.max(abs_diff)) if abs_diff.size else 0.0
+    return delta > tol, delta

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -232,24 +233,69 @@ class TestMetaCommand:
         assert outs[0] == outs[1]
         assert "nearest-centroid accuracy" in capsys.readouterr().out
 
-    def test_all_nan_train_columns_leave_stderr_empty(self, tmp_path, capsys):
-        # Edgeless graphs fail both curvature blocks, so those columns are
-        # NaN on every train row; the classifier drops them without a warning.
+    def _edgeless_meta(self, tmp_path, sizes):
         paths = []
-        for name in ("a", "b"):
+        for name, n in zip("ab", sizes):
             paths.append(tmp_path / f"{name}.jsonl")
-            write_dataset(paths[-1], [make_graph(3, [], id=f"{name}{i}") for i in range(6)])
-        code = main([
+            write_dataset(paths[-1], [make_graph(n, [], id=f"{name}{i}") for i in range(6)])
+        return main([
             "meta", "--datasets", *map(str, paths), "--regime", "reduced",
             "--sample", "6", "--out", str(tmp_path / "m.csv"), "--smoke-accuracy",
         ])
+
+    def test_all_nan_train_columns_leave_stderr_empty(self, tmp_path, capsys):
+        # Edgeless graphs fail both curvature blocks, so those columns are
+        # NaN on every train row; the classifier drops them without a warning
+        # and separates the two datasets by their vertex counts.
+        code = self._edgeless_meta(tmp_path, (3, 4))
         out, err = capsys.readouterr()
         assert code == 0
-        assert "nearest-centroid accuracy: 0.500" in out
+        assert "nearest-centroid accuracy: 1.000" in out
         assert err == ""
+
+    def test_no_usable_column_is_data_error(self, tmp_path, capsys):
+        # Every column is NaN or constant on the train rows: nothing to compare.
+        assert self._edgeless_meta(tmp_path, (3, 3)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "no usable column" in err[0]
 
     def test_label_filter_unknown_is_data_error(self, tmp_path, rng):
         d1 = tmp_path / "a.jsonl"
         write_dataset(d1, [erdos_renyi(6, 0.5, rng, id="x0")])
         code = main(["meta", "--datasets", str(d1), "--labels", "zzz", "--out", str(tmp_path / "m.csv")])
         assert code == 2
+
+
+class TestOneFingerprintTable:
+    """Every command's invariant cells come from the same table, so on one
+    dataset they equal the fingerprint CSV's cells one for one."""
+
+    def read(self, path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        return [dict(zip(header, row)) for row in rows]
+
+    def test_features_and_meta_cells_match_fingerprint(self, tmp_path, rng):
+        graphs = [erdos_renyi(7, 0.4, rng, id=f"g{i}") for i in range(4)]
+        graphs += [make_graph(3, [], id="edgeless"), cycle_graph(5)]  # failed and nan cells
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, graphs)
+        assert main(["fingerprint", "--dataset", str(data), "--out", str(tmp_path / "fp.csv")]) == 0
+        assert main([
+            "features", "--dataset", str(data), "--combine", "I", "--out", str(tmp_path / "rows.csv"),
+        ]) == 0
+        assert main([
+            "meta", "--datasets", str(data), "--sample", str(len(graphs) + 1),
+            "--out", str(tmp_path / "meta.csv"),
+        ]) == 0
+        fp = self.read(tmp_path / "fp.csv")
+        features = self.read(tmp_path / "rows.csv")
+        meta = self.read(tmp_path / "meta.csv")
+        assert [r["graph_id"] for r in fp] == [r["graph_id"] for r in features] == [g.id for g in graphs]
+        assert len(meta) == len(fp)
+        assert any(cell == "nan" for cell in fp[4].values())
+        for fp_row, feature_row, meta_row in zip(fp, features, meta):
+            for column, cell in fp_row.items():
+                assert feature_row[column] == cell, column
+                if column != "graph_id" and not column.endswith(".status"):
+                    assert meta_row[column] == cell, column

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graphinv.expressivity import DifferentiationReport, export_heatmap
 from graphinv.features import FeatureConfig, write_features_csv
 from graphinv.graph import GraphDataset, make_graph
-from graphinv.registry import RegimeConfig, build_catalog, fingerprint, write_csv, write_fingerprint_csv
+from graphinv.registry import RegimeConfig, build_catalog, fingerprint_dataset, write_csv, write_fingerprint_csv
 
 from conftest import cycle_graph
 
@@ -23,7 +23,7 @@ IDS = st.lists(TEXT, min_size=1, max_size=5, unique=True)
 
 CONFIG = RegimeConfig(subset="S")
 CATALOG = build_catalog(CONFIG)
-VECTOR = fingerprint(cycle_graph(5), CATALOG)
+C5 = cycle_graph(5)
 
 # Each example overwrites the same file, so sharing tmp_path is safe.
 examples = settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -40,7 +40,8 @@ def read_back(path) -> tuple[list[str], list[list[str]]]:
 @given(ids=IDS)
 def test_fingerprint_csv_round_trip(tmp_path, ids):
     path = tmp_path / "fp.csv"
-    write_fingerprint_csv([dataclasses.replace(VECTOR, graph_id=i) for i in ids], CATALOG, path, CONFIG)
+    table = fingerprint_dataset([dataclasses.replace(C5, id=i) for i in ids], CATALOG)
+    write_fingerprint_csv(table, path, CONFIG)
     _, rows = read_back(path)
     assert [row[0] for row in rows] == ids
 
@@ -65,7 +66,6 @@ def test_heatmap_round_trip(tmp_path, pair_ids):
         invariant_names=("a", "b"),
         pair_ids=tuple(pair_ids),
         categories=("X",) * n,
-        differentiated=np.ones((n, 2), dtype=bool),
         max_rel_diff=np.ones((n, 2)),
         tolerance=1e-6,
         mode="relative",

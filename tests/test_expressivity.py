@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphinv.expressivity import (
     DifferentiationReport,
@@ -15,7 +18,8 @@ from graphinv.expressivity import (
     score_pairs,
 )
 from graphinv.graph import GraphDataError, graph_to_obj, make_graph, relabel
-from graphinv.registry import RegimeConfig, block, build_catalog
+from graphinv.invariants import BlockFailure
+from graphinv.registry import RegimeConfig, block, build_catalog, fingerprint
 
 from conftest import (
     cycle_graph,
@@ -24,6 +28,7 @@ from conftest import (
     random_permutation,
     two_triangles,
 )
+from oracles import block_difference
 
 
 def make_report(matrix, names=None, categories=None):
@@ -33,7 +38,6 @@ def make_report(matrix, names=None, categories=None):
         invariant_names=tuple(names or [f"inv{j}" for j in range(n_inv)]),
         pair_ids=tuple(f"p{i}" for i in range(n_pairs)),
         categories=tuple(categories or ["X"] * n_pairs),
-        differentiated=matrix,
         max_rel_diff=matrix.astype(float),
         tolerance=1e-6,
         mode="relative",
@@ -64,6 +68,64 @@ class TestDifferentiates:
         verdicts = dict(zip(report.invariant_names, report.differentiated[0]))
         assert verdicts["num_vertices"]
         assert not verdicts["forman_ricci_mean"]
+
+
+VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-7, -3e5, 1e300, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def scored_pairs(draw):
+    """Pairs of graphs and a catalog of blocks of random widths whose
+    outcome per graph is drawn: values (with 0, infinities and NaN among
+    them) or a declared failure with a drawn fill."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n_pairs = draw(st.integers(1, 3))
+    outcomes = {
+        f"p{i}.{side}": [
+            draw(st.one_of(
+                st.lists(VALUES, min_size=w, max_size=w),
+                VALUES.map(lambda fill: BlockFailure("drawn", fill)),
+            ))
+            for w in widths
+        ]
+        for i in range(n_pairs)
+        for side in "lr"
+    }
+
+    def outcome(j):
+        def fn(g):
+            drawn = outcomes[g.id][j]
+            if isinstance(drawn, BlockFailure):
+                raise drawn
+            return drawn
+        return fn
+
+    catalog = tuple(block(f"b{j}", outcome(j), w) for j, w in enumerate(widths))
+    pairs = [
+        GraphPair(make_graph(0, [], id=f"p{i}.l"), make_graph(0, [], id=f"p{i}.r"), "X", f"p{i}")
+        for i in range(n_pairs)
+    ]
+    return pairs, catalog
+
+
+class TestScorePairsOracle:
+    """The table-wide scoring agrees exactly with the block-by-block oracle."""
+
+    @pytest.mark.parametrize("mode", ["relative", "absolute"])
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=scored_pairs(), tol=st.sampled_from([1e-6, 0.5, 1.0, 3.0]))
+    def test_matches_block_difference(self, mode, drawn, tol):
+        pairs, catalog = drawn
+        report = score_pairs(pairs, catalog, tol=tol, mode=mode)
+        for i, pair in enumerate(pairs):
+            sides = zip(fingerprint(pair.left, catalog), fingerprint(pair.right, catalog))
+            for j, (left, right) in enumerate(sides):
+                verdict, delta = block_difference(left, right, tol, mode)
+                got = report.max_rel_diff[i, j]
+                assert got == delta or (math.isnan(got) and math.isnan(delta))
+                assert report.differentiated[i, j] == verdict
 
 
 class TestScorePairs:

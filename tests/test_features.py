@@ -3,7 +3,6 @@ import pytest
 
 from graphinv.features import (
     FeatureConfig,
-    assemble_row,
     build_x_init,
     feature_agg,
     feature_columns,
@@ -93,19 +92,32 @@ class TestSumAgg:
             assert np.array_equal(feature_agg(g, 3), feature_agg(h, 3))
 
 
+def assemble_row(tmp_path, g, config, catalog=None):
+    """The feature cells and the invariant status cells of ``g``'s row."""
+    path = tmp_path / "row.csv"
+    write_features_csv(GraphDataset((g,)), config, catalog, path)
+    header, row = (line.split(",") for line in path.read_text().splitlines())
+    cells = dict(zip(header, row))
+    vec = np.array([float(cells[c]) for c in header if c.startswith(config.mode + ".")])
+    fp = None if catalog is None else [cells[c] for c in header if c.endswith(".status")]
+    return vec, fp
+
+
 class TestAssembleRow:
-    def test_sum_none_k2(self):
-        vec, fp = assemble_row(complete_graph(2), FeatureConfig(mode="sum"))
+    """One row as write_features_csv assembles it."""
+
+    def test_sum_none_k2(self, tmp_path):
+        vec, fp = assemble_row(tmp_path, complete_graph(2), FeatureConfig(mode="sum"))
         assert vec.tolist() == [2.0] and fp is None
 
-    def test_sum_with_full_s(self):
+    def test_sum_with_full_s(self, tmp_path):
         cat = build_catalog(RegimeConfig(subset="S"))
-        vec, fp = assemble_row(complete_graph(2), FeatureConfig(), cat)
+        vec, fp = assemble_row(tmp_path, complete_graph(2), FeatureConfig(), cat)
         assert vec.tolist() == [2.0]
-        assert fp is not None and len(fp.blocks) == 5
+        assert fp is not None and len(fp) == 5
 
-    def test_agg_hop1_k2(self):
-        vec, _ = assemble_row(complete_graph(2), FeatureConfig(mode="agg", hops=1))
+    def test_agg_hop1_k2(self, tmp_path):
+        vec, _ = assemble_row(tmp_path, complete_graph(2), FeatureConfig(mode="agg", hops=1))
         assert vec.tolist() == [2.0, 2.0]
 
     def test_config_validation(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphinv.graph import (
     Graph,
@@ -194,3 +195,22 @@ class TestValidation:
         h = relabel(g, [2, 0, 1])  # 0->2, 1->0, 2->1
         feats = {e: float(h.edge_features[i, 0]) for i, e in enumerate(h.edges)}
         assert feats == {(0, 2): 10.0, (0, 1): 20.0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_relabel_round_trip(self, data):
+        # Distinct feature rows, so a row paired with the wrong edge shows.
+        g = data.draw(block_graphs(max_n=10))
+        n, m = g.n_vertices, g.n_edges
+        if data.draw(st.booleans()):
+            g = make_graph(
+                n, g.edges,
+                node_features=np.arange(n, dtype=float).reshape(n, 1),
+                edge_features=np.arange(2 * m, dtype=float).reshape(m, 2),
+            )
+        perm = data.draw(st.permutations(range(n)))
+        back = relabel(relabel(g, perm), np.argsort(perm).tolist())
+        assert back.edges == g.edges
+        for field in ("edge_features", "node_features"):
+            got, want = getattr(back, field), getattr(g, field)
+            assert (got is None and want is None) or np.array_equal(got, want)

@@ -10,14 +10,17 @@ from graphinv.meta import (
     export_meta_csv,
     nearest_centroid_accuracy,
 )
-from graphinv.registry import FingerprintVector, RegimeConfig, block, build_catalog
+from graphinv.registry import FingerprintTable, RegimeConfig, block, build_catalog
 
 from conftest import erdos_renyi, random_graph
 
 
-def vector(gid, row):
-    """A fingerprint of one block ``x`` holding ``row``."""
-    return FingerprintVector(gid, (block("x", lambda g: row, len(row)).compute(None),))
+def fingerprints(matrix):
+    """A fingerprint table of one ``ok`` block ``x``, one row per row of ``matrix``."""
+    values = np.asarray(matrix, dtype=np.float64)
+    n_rows, width = values.shape
+    catalog = (block("x", lambda g: None, width),)
+    return FingerprintTable(catalog, tuple(f"g{i}" for i in range(n_rows)), values, (("ok",),) * n_rows)
 
 
 def small_dataset(rng, n_graphs, name, max_n=8):
@@ -37,7 +40,7 @@ class TestAssembly:
         a = small_dataset(rng, 10, "a")
         b = small_dataset(rng, 10, "b")
         t = assemble_meta_table([a, b], catalog, sample_size=4, seed=1)
-        assert len(t.rows) == 8
+        assert len(t.fingerprints.graph_ids) == 8
         assert t.labels.count(0) == 4 and t.labels.count(1) == 4
 
     def test_oversample_uses_all_with_warning(self, rng, catalog):
@@ -52,7 +55,7 @@ class TestAssembly:
         b = small_dataset(rng, 12, "b")
         t1 = assemble_meta_table([a, b], catalog, sample_size=6, seed=7)
         t2 = assemble_meta_table([a, b], catalog, sample_size=6, seed=7)
-        assert np.array_equal(t1.matrix(), t2.matrix(), equal_nan=True)
+        assert np.array_equal(t1.fingerprints.values, t2.fingerprints.values, equal_nan=True)
         assert t1.splits == t2.splits
 
     def test_split_disjoint_exhaustive_stratified(self, rng, catalog):
@@ -80,7 +83,7 @@ class TestExport:
         b = small_dataset(rng, 6, "ZINC")
         t = assemble_meta_table([a, b], catalog, sample_size=4, seed=2)
         path = tmp_path / "meta.csv"
-        export_meta_csv(t, path, catalog, config)
+        export_meta_csv(t, path, config)
         lines = path.read_text().splitlines()
         assert len(lines) == 9  # header + 8 rows
         header = lines[0].split(",")
@@ -95,16 +98,15 @@ class TestExport:
         outs = []
         for name in ("x.csv", "y.csv"):
             t = assemble_meta_table([a, b], catalog, sample_size=5, seed=11)
-            export_meta_csv(t, tmp_path / name, catalog, config)
+            export_meta_csv(t, tmp_path / name, config)
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
 
 class TestNearestCentroid:
     def _table(self, matrix, labels, splits):
-        rows = tuple(vector(f"g{i}", row) for i, row in enumerate(matrix))
         return MetaTable(
-            rows=rows,
+            fingerprints=fingerprints(matrix),
             labels=tuple(labels),
             splits=tuple(splits),
             label_names=("a", "b"),
@@ -134,7 +136,7 @@ class TestNearestCentroid:
         assert res.overall_accuracy == np.trace(res.confusion) / res.confusion.sum()
 
     def test_zero_variance_column_excluded(self):
-        rows = tuple(vector(f"g{i}", [1.0, float(i % 2)]) for i in range(6))
+        rows = fingerprints([[1.0, float(i % 2)] for i in range(6)])
         t = MetaTable(rows, (0, 1, 0, 1, 0, 1), ("train",) * 4 + ("test",) * 2, ("a", "b"), 0)
         res = nearest_centroid_accuracy(t)
         assert 0 in res.excluded_columns
@@ -149,7 +151,7 @@ class TestNearestCentroid:
 
     def test_needs_two_labels(self):
         t = self._table([[0.0], [1.0]], [0, 0], ["train", "test"])
-        t = MetaTable(t.rows, t.labels, t.splits, ("only",), 0)
+        t = MetaTable(t.fingerprints, t.labels, t.splits, ("only",), 0)
         with pytest.raises(ValueError):
             nearest_centroid_accuracy(t)
 

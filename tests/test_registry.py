@@ -89,13 +89,13 @@ class TestFingerprint:
     def test_k2_full_s_all_ok(self):
         cat = build_catalog(RegimeConfig(subset="S"))
         vec = fingerprint(complete_graph(2), cat)
-        assert all(b.ok for b in vec.blocks)
-        assert vec.width == 5
+        assert all(b.ok for b in vec)
+        assert sum(b.values.size for b in vec) == 5
 
     def test_edgeless_curvature_blocks_fail(self):
         cat = build_catalog(RegimeConfig())
         vec = fingerprint(empty_graph(4), cat)
-        by_name = {d.name: b for d, b in zip(cat, vec.blocks)}
+        by_name = {d.name: b for d, b in zip(cat, vec)}
         for name in ("forman_ricci_mean", "ollivier_ricci_kurtosis"):
             assert not by_name[name].ok
             assert np.isnan(by_name[name].values).all()
@@ -104,16 +104,16 @@ class TestFingerprint:
     def test_deterministic(self):
         cat = build_catalog(RegimeConfig())
         g = cycle_graph(6)
-        a = fingerprint(g, cat).concatenated()
-        b = fingerprint(g, cat).concatenated()
+        a = fingerprint_dataset([g], cat).values
+        b = fingerprint_dataset([g], cat).values
         assert np.array_equal(a, b, equal_nan=True)
 
     def test_block_widths_match_schema(self, rng):
         cat = build_catalog(RegimeConfig())
         vec = fingerprint(random_graph(rng), cat)
-        assert len(vec.blocks) == len(cat)
-        for value, d in zip(vec.blocks, cat):
-            assert value.width == d.width, d.name
+        assert len(vec) == len(cat)
+        for value, d in zip(vec, cat):
+            assert value.values.shape == (d.width,), d.name
 
 
 def raising(exc):
@@ -145,7 +145,7 @@ class TestBlock:
     ])
     def test_exception_becomes_status(self, exc, status, fill):
         iv = block("b", raising(exc), 3).compute(empty_graph(1))
-        assert iv.status == status and iv.width == 3 and not iv.values.flags.writeable
+        assert iv.status == status and iv.values.shape == (3,) and not iv.values.flags.writeable
         if fill is None:
             assert np.isnan(iv.values).all()
         else:
@@ -154,7 +154,7 @@ class TestBlock:
     def test_width_mismatch(self):
         iv = block("b", lambda g: [1.0, 2.0], 3).compute(empty_graph(1))
         assert iv.status == "failed: width mismatch (2 != 3)"
-        assert np.isnan(iv.values).all() and iv.width == 3
+        assert np.isnan(iv.values).all() and iv.values.shape == (3,)
 
 
 class TestFingerprintDataset:
@@ -165,7 +165,7 @@ class TestFingerprintDataset:
         config = RegimeConfig()
         cat = build_catalog(config)
         path = tmp_path / "empty.csv"
-        write_fingerprint_csv([], cat, path, config)
+        write_fingerprint_csv(fingerprint_dataset([], cat), path, config)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("graph_id,num_vertices.0,")
@@ -174,7 +174,7 @@ class TestFingerprintDataset:
         ds = self._dataset(rng)
         cat = build_catalog(RegimeConfig(subset="S"))
         rows = fingerprint_dataset(ds, cat)
-        assert [r.graph_id for r in rows] == [g.id for g in ds]
+        assert list(rows.graph_ids) == [g.id for g in ds]
 
     def test_pathological_graph_isolated(self, tmp_path):
         # 0-edge graph fails curvature blocks; neighbours stay clean
@@ -182,7 +182,7 @@ class TestFingerprintDataset:
         cat = build_catalog(config)
         ds = GraphDataset((cycle_graph(4), empty_graph(3), complete_graph(3)), name="mix")
         rows = fingerprint_dataset(ds, cat)
-        ok_counts = [sum(b.ok for b in r.blocks) for r in rows]
+        ok_counts = rows.ok().sum(axis=1).tolist()
         assert ok_counts[0] == len(cat) and ok_counts[2] == len(cat)
         assert ok_counts[1] < len(cat)
 
@@ -192,7 +192,7 @@ class TestFingerprintDataset:
         ds = GraphDataset((cycle_graph(5), complete_graph(4), path_graph(4)), name="t")
         refs = [weakref.ref(g) for g in ds]
         rows = fingerprint_dataset(ds, build_catalog(RegimeConfig()))
-        assert all(b.ok for r in rows for b in r.blocks)
+        assert rows.ok().all()
         del ds, rows
         gc.collect()
         assert refs[0]() is None and refs[1]() is None
@@ -202,7 +202,7 @@ class TestFingerprintDataset:
         config = RegimeConfig(subset="S")
         cat = build_catalog(config)
         path = tmp_path / "fp.csv"
-        write_fingerprint_csv(fingerprint_dataset(ds, cat), cat, path, config)
+        write_fingerprint_csv(fingerprint_dataset(ds, cat), path, config)
         sidecar = json.loads((tmp_path / "fp.csv.meta.json").read_text())
         assert sidecar["schema_version"] == "1"
         assert sidecar["config"]["subset"] == "S"
@@ -212,7 +212,7 @@ class TestFingerprintDataset:
         config = RegimeConfig()
         cat = build_catalog(config)
         path = tmp_path / "fp.csv"
-        write_fingerprint_csv(fingerprint_dataset(GraphDataset((empty_graph(3),)), cat), cat, path, config)
+        write_fingerprint_csv(fingerprint_dataset(GraphDataset((empty_graph(3),)), cat), path, config)
         header, row = path.read_text().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["forman_ricci_mean.0"] == "nan"

@@ -291,7 +291,7 @@ class TestHomomorphismOverflow:
         monkeypatch.setattr(topo, "count_all_patterns", lambda g: count_patterns(g, self.TREES))
         iv = catalog_compute("homomorphism_counts")(star)
         assert iv.status == "failed: count exceeds 64-bit range"
-        assert iv.width == 31 and np.all(np.isnan(iv.values))
+        assert iv.values.shape == (31,) and np.all(np.isnan(iv.values))
 
 
 class TestFormanRicci:
