@@ -194,12 +194,14 @@ def _cmd_meta(args) -> int:
         sample_size=args.sample, test_fraction=args.test_frac,
         seed=args.seed,
     )
-    export_meta_csv(table, args.out, config)
     for w in table.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    # The classifier may reject the table; it runs first so that a rejected
+    # run writes no file and prints nothing to stdout.
+    result = nearest_centroid_accuracy(table) if args.smoke_accuracy else None
+    export_meta_csv(table, args.out, config)
     print(f"wrote {len(table.labels)} rows ({len(table.label_names)} labels) to {args.out}")
-    if args.smoke_accuracy:
-        result = nearest_centroid_accuracy(table)
+    if result is not None:
         print(f"nearest-centroid accuracy: {result.overall_accuracy:.3f}")
         for k, name in enumerate(table.label_names):
             print(f"  {name}: {result.per_label_accuracy[k]:.3f}")

@@ -4,6 +4,9 @@ spanning-tree count, and the geometric/arithmetic degree-mean ratio."""
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from ..graph import (
@@ -102,11 +105,18 @@ def _log_spanning_trees(g: Graph) -> float | None:
     return float(spectrum_log_pseudo_determinant(laplacian_spectrum(g)) - np.log(g.n_vertices))
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def spanning_tree_count(g: Graph) -> float:
     """Matrix-tree count: product of nonzero Laplacian eigenvalues / n_V;
-    0 for disconnected graphs."""
+    0 for disconnected graphs. Fails when the count passes the float range."""
     log_count = _log_spanning_trees(g)
-    return 0.0 if log_count is None else np.exp(log_count)
+    if log_count is None:
+        return 0.0
+    if log_count > _LOG_FLOAT_MAX:
+        raise BlockFailure("count exceeds float range")
+    return np.exp(log_count)
 
 
 def spanning_tree_count_log(g: Graph) -> float:

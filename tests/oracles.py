@@ -2,9 +2,9 @@
 
 Nothing here shares helpers with the package: distances come from a
 Floyd-Warshall pass, degrees are recounted from the edge list, and the
-heavier oracles (spanning-tree deletion/contraction, exhaustive
-homomorphism enumeration, exhaustive transport-plan search) use their
-own data structures.
+heavier oracles (spanning-tree deletion/contraction, the pattern-catalog
+enumeration, exhaustive homomorphism enumeration, exhaustive
+transport-plan search) use their own data structures.
 """
 
 from __future__ import annotations
@@ -282,6 +282,56 @@ def neighbourhood_power_trace(n: int, edges, p: int, closed: bool) -> float:
             sub = a[np.ix_(idx, idx)]
             total += float(np.trace(np.linalg.matrix_power(sub, p)))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Pattern catalog by orbit enumeration
+
+
+def canonical_form(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """Lexicographically minimal edge tuple over all vertex permutations."""
+    edge_list = [tuple(sorted(e)) for e in edges]
+    best = None
+    for perm in permutations(range(n)):
+        relabeled = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edge_list))
+        if best is None or relabeled < best:
+            best = relabeled
+    return best if best is not None else ()
+
+
+def _orbit_representatives(n: int, slots: list[tuple[int, int]]) -> list[int]:
+    """The smallest edge bitmask over `slots` of each isomorphism class of
+    graphs on n vertices. Masks are visited in increasing order, and the
+    first one not yet seen marks its whole orbit under vertex
+    permutations as seen."""
+    index = {slot: i for i, slot in enumerate(slots)}
+    images = [
+        [1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in slots]
+        for perm in permutations(range(n))
+    ]
+    seen: set[int] = set()
+    representatives = []
+    for mask in range(1 << len(slots)):
+        if mask not in seen:
+            representatives.append(mask)
+            on = [i for i in range(len(slots)) if mask >> i & 1]
+            seen.update(sum(image[i] for i in on) for image in images)
+    return representatives
+
+
+def connected_patterns(max_n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(vertex count, canonical edges) of every connected graph on 1..max_n
+    vertices up to isomorphism, ordered by vertex count, then edge count,
+    then canonical form."""
+    found = []
+    for n in range(1, max_n + 1):
+        slots = list(combinations(range(n), 2))
+        for mask in _orbit_representatives(n, slots):
+            edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
+            if len(components(n, edges)) == 1:
+                found.append((n, canonical_form(n, edges)))
+    found.sort(key=lambda p: (p[0], len(p[1]), p[1]))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ class TestSpanningTrees:
 
     def test_disconnected_zero(self):
         assert val(spanning_tree_count(two_triangles())) == 0.0
+
+    def test_count_past_float_range_fails(self):
+        # K200 has 200**198 spanning trees; exp of the log count would
+        # overflow to inf with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iv = catalog_compute("spanning_tree_count")(complete_graph(200))
+        assert iv.status == "failed: count exceeds float range"
+        assert math.isnan(float(iv.values[0]))
 
     def test_log_variant(self):
         assert val(spanning_tree_count_log(cycle_graph(6))) == pytest.approx(math.log(6.0), rel=1e-9)

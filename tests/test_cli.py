@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +258,12 @@ class TestMetaCommand:
     def test_no_usable_column_is_data_error(self, tmp_path, capsys):
         # Every column is NaN or constant on the train rows: nothing to compare.
         assert self._edgeless_meta(tmp_path, (3, 3)) == 2
-        err = capsys.readouterr().err.strip().splitlines()
+        out, err = capsys.readouterr()
+        err = err.strip().splitlines()
         assert len(err) == 1 and "no usable column" in err[0]
+        assert out == ""
+        assert not (tmp_path / "m.csv").exists()
+        assert not (tmp_path / "m.csv.meta.json").exists()
 
     def test_label_filter_unknown_is_data_error(self, tmp_path, rng):
         d1 = tmp_path / "a.jsonl"
@@ -299,3 +305,17 @@ class TestOneFingerprintTable:
                 assert feature_row[column] == cell, column
                 if column != "graph_id" and not column.endswith(".status"):
                     assert meta_row[column] == cell, column
+
+
+class TestImportCost:
+    def test_cli_import_leaves_heavy_modules_unloaded(self):
+        # Every command starts by importing the CLI, so these would add to
+        # each run's start-up time and memory; only tests and the benchmark's
+        # oracle checks need them.
+        heavy = ["scipy", "hypothesis", "fractions", "decimal"]
+        code = f"import sys, graphinv.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from graphinv.graph import adjacency_matrix, degree_vector, relabel
 from graphinv.invariants import BlockFailure, homcount, topo
 from graphinv.invariants.homcount import count_all_patterns, count_patterns
-from graphinv.invariants.patterns import PATTERN_CATALOG, canonical_form
+from graphinv.invariants.patterns import PATTERN_CATALOG
 from graphinv.invariants.simplicial import clique_complex
 from graphinv.invariants.topo import (
     DEFAULT_MAGNITUDE_Q,
@@ -21,6 +22,7 @@ from graphinv.invariants.topo import (
     neighbourhood_power_trace,
     ollivier_ricci,
 )
+from graphinv.invariants.transport import wasserstein_1
 
 from conftest import (
     catalog_compute,
@@ -36,14 +38,19 @@ from conftest import (
 )
 from strategies import block_graphs
 from oracles import (
+    adjacency,
     analytic_torsion_hodge,
+    canonical_form,
     commute_time_simulation,
+    connected_patterns,
     count_homomorphisms_einsum,
     count_homomorphisms_exhaustive,
+    floyd_warshall,
     min_width_order,
     neighbourhood_power_trace as trace_by_matrix_powers,
     wasserstein_exhaustive,
 )
+from test_transport import linprog_w1
 
 
 def val(x):
@@ -67,6 +74,9 @@ class TestPatternCatalog:
     def test_order_is_by_size_then_edges(self):
         keys = [(p.n_vertices, len(p.edges), p.edges) for p in PATTERN_CATALOG]
         assert keys == sorted(keys)
+
+    def test_stored_catalog_matches_enumeration(self):
+        assert [(p.n_vertices, p.edges) for p in PATTERN_CATALOG] == connected_patterns(5)
 
 
 class TestMagnitude:
@@ -377,6 +387,101 @@ class TestOllivierRicci:
         # alpha = 0 leaves no mass on the vertex itself
         assert np.allclose(ollivier_ricci(cycle_graph(6), alpha=0.0).values, 0.0, atol=1e-9)
         assert np.allclose(ollivier_ricci(star_graph(4), alpha=0.0).values, 0.0, atol=1e-9)
+
+
+def lazy_walk_w1(g, alpha, exact):
+    """Per edge, W_1 of the two lazy walks on their full supports (no
+    cancellation, no merging), over Floyd-Warshall distances: exhaustive
+    basis search on Fraction masses when `exact`, else linprog."""
+    dist = floyd_warshall(g.n_vertices, g.edges)
+    adj = adjacency(g.n_vertices, g.edges)
+    a = Fraction(alpha)
+    out = []
+    for u, v in g.edges:
+        sup_u = [u, *np.flatnonzero(adj[u]).tolist()]
+        sup_v = [v, *np.flatnonzero(adj[v]).tolist()]
+        mu = (a,) + ((1 - a) / (len(sup_u) - 1),) * (len(sup_u) - 1)
+        nu = (a,) + ((1 - a) / (len(sup_v) - 1),) * (len(sup_v) - 1)
+        cost = tuple(tuple(int(dist[x][y]) for y in sup_v) for x in sup_u)
+        if exact:
+            out.append(_exhaustive_w1(mu, nu, cost))
+        else:
+            out.append(linprog_w1(np.array(mu, dtype=float), np.array(nu, dtype=float), np.array(cost, dtype=float)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive_w1(mu, nu, cost):
+    return wasserstein_exhaustive(mu, nu, cost)
+
+
+@st.composite
+def integer_instances(draw):
+    """Balanced integer masses (zeros included, some past int64) and
+    integer costs on up to 4 x 4 cells."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    wa = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(any))
+    wb = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any))
+    big = draw(st.sampled_from([1, 2**40, 3**45]))
+    mu = [w * sum(wb) * big for w in wa]
+    nu = [w * sum(wa) * big for w in wb]
+    cost = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    return mu, nu, cost
+
+
+class TestOllivierRicciExact:
+    """The curvature is the correctly rounded quotient of an exact integer
+    transport optimum."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
+    @settings(max_examples=40, deadline=None)
+    @given(g=block_graphs(max_n=8).filter(lambda g: g.n_edges and max(degree_vector(g)) <= 3))
+    def test_equals_rounded_exhaustive_optimum(self, alpha, g):
+        want = [float(1 - w1) for w1 in lazy_walk_w1(g, alpha, exact=True)]
+        assert ollivier_ricci(g, alpha).values.tolist() == want
+
+    def test_masses_past_int64_match_linprog(self, rng):
+        # alpha = 0.1 is P / 2**55, so the total L = 2**55 d_u d_v passes
+        # 2**63 on every edge with d_u d_v > 256, as the dense graphs have.
+        widest = 0
+        for n, p in [(9, 0.4)] * 6 + [(20, 0.9)] * 2:
+            g = erdos_renyi(n, p, rng)
+            if g.n_edges == 0:
+                continue
+            deg = degree_vector(g)
+            widest = max(widest, max(int(deg[u] * deg[v]) for u, v in g.edges))
+            want = [1.0 - w1 for w1 in lazy_walk_w1(g, 0.1, exact=False)]
+            np.testing.assert_allclose(ollivier_ricci(g, 0.1).values, want, rtol=0, atol=1e-12)
+        assert 2**55 * widest > 2**63
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_instances())
+    def test_integer_transport_is_exact(self, instance):
+        got = wasserstein_1(*instance)
+        assert type(got) is int
+        assert got == wasserstein_exhaustive(*instance)
+
+    def test_values_do_not_depend_on_labels(self, rng):
+        for _ in range(195):
+            g = erdos_renyi(rng.randint(8, 16), rng.uniform(0.2, 0.6), rng)
+            if g.n_edges == 0:
+                continue
+            h = relabel(g, random_permutation(g.n_vertices, rng))
+            assert np.sort(ollivier_ricci(g).values).tobytes() == np.sort(ollivier_ricci(h).values).tobytes()
+
+    def test_linear_in_alpha_above_one_over_max_degree(self, rng):
+        # Bourne-Cushing-Liu-Muench-Peyerimhoff 2018: kappa_alpha is linear on
+        # [1/(max(d_u, d_v) + 1), 1] and 0 at alpha = 1, so kappa_alpha / (1 -
+        # alpha) is one number for alpha >= 1/2. Each side is two roundings
+        # of it, so they differ by at most 4 units of 2**-53 relative.
+        for _ in range(30):
+            g = erdos_renyi(rng.randint(6, 14), rng.uniform(0.2, 0.6), rng)
+            if g.n_edges == 0:
+                continue
+            half = ollivier_ricci(g, 0.5).values / 0.5
+            for alpha in (0.625, 0.75):
+                other = ollivier_ricci(g, alpha).values / (1 - alpha)
+                assert np.all(np.abs(other - half) <= 4 * 2.0**-53 * np.abs(half))
 
 
 class TestCommuteTime:
