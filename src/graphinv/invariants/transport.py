@@ -25,15 +25,6 @@ import numpy as np
 
 _EPS = 1e-11
 _BALANCE_TOL = 1e-9
-# Instances of at most this many cells are ordered and priced in plain
-# Python, larger ones with one numpy pass per pivot. Building the potential
-# array and the reduced-cost matrix costs microseconds per pivot whatever
-# the size, so the Python loop wins on small instances and loses on large
-# ones. On the transport instances of the ollivier_ricci benchmark graphs
-# (CPython 3.11, numpy 2.4, one thread) the two break even near 100 cells:
-# per instance, Python 53.5 us against numpy 61.1 us at 41-60 cells,
-# 100.2 against 102.2 us at 81-100, 127.4 against 123.3 us at 101-120.
-_PYTHON_PRICING_CELLS = 100
 
 
 class TransportError(RuntimeError):
@@ -104,38 +95,35 @@ def _dantzig(cf: list, pot: list, flow: dict, m: int, n: int) -> int:
 
 def wasserstein_1(mu, nu, cost) -> int | float:
     """Optimal transport cost between distributions `mu` (m,) and `nu` (n,)
-    under the `cost` matrix (m, n), given as arrays or nested sequences.
-    Masses must be finite and non-negative and both distributions must have
-    the same total (1 for probability measures); anything else raises
-    ValueError. When every mass and cost is a Python int (an integer array
+    under the `cost` matrix (m, n), given as arrays or (nested) sequences of
+    numbers. Masses must be finite and non-negative and both distributions
+    must have the same total (1 for probability measures); anything else
+    raises ValueError. When every mass and cost is a Python int (an integer array
     gives ints too) the exact integer optimum is returned as an int;
     otherwise the inputs are taken as float64 and a float is returned."""
-    a = mu.tolist() if isinstance(mu, np.ndarray) else list(mu)
-    b = nu.tolist() if isinstance(nu, np.ndarray) else list(nu)
-    m, n = len(a), len(b)
     if isinstance(cost, np.ndarray):
         cost = cost.tolist() if cost.ndim == 2 else ()
-    if len(cost) != m or any(len(row) != n for row in cost):
-        raise ValueError("distribution lengths do not match the cost matrix")
-    cf = [c for row in cost for c in row]
-    sa, sb = sum(a), sum(b)
-    if not type(sa) is type(sb) is type(sum(cf)) is int:
-        a, b, cf = [float(x) for x in a], [float(x) for x in b], [float(c) for c in cf]
-        sa, sb = sum(a), sum(b)  # not finite exactly when some mass is NaN or infinite
-        if not (math.isfinite(sa) and math.isfinite(sb)):
-            raise ValueError("masses must be finite and non-negative")
+    try:  # a 0-d or 2-d mass array fails at len or sum with TypeError
+        a = mu.tolist() if isinstance(mu, np.ndarray) else list(mu)
+        b = nu.tolist() if isinstance(nu, np.ndarray) else list(nu)
+        m, n = len(a), len(b)
+        if len(cost) != m or any(len(row) != n for row in cost):
+            raise ValueError("distribution lengths do not match the cost matrix")
+        cf = [c for row in cost for c in row]
+        sa, sb = sum(a), sum(b)
+        if not type(sa) is type(sb) is type(sum(cf)) is int:
+            a, b, cf = [float(x) for x in a], [float(x) for x in b], [float(c) for c in cf]
+            sa, sb = sum(a), sum(b)  # not finite exactly when some mass is NaN or infinite
+            if not (math.isfinite(sa) and math.isfinite(sb)):
+                raise ValueError("masses must be finite and non-negative")
+    except TypeError:
+        raise ValueError("masses and costs must be flat sequences of numbers") from None
     if min(a) < 0 or min(b) < 0:
         raise ValueError("masses must be finite and non-negative")
     if abs(sa - sb) > _BALANCE_TOL:
         raise ValueError(f"unbalanced measures: masses sum to {sa!r} and {sb!r}")
 
-    small = m * n <= _PYTHON_PRICING_CELLS
-    if small:
-        order = sorted(range(m * n), key=cf.__getitem__)
-    else:
-        c = np.array(cf).reshape(m, n)
-        order = c.argsort(axis=None, kind="stable").tolist()
-    flow = _least_cost_start(a, b, order, n)
+    flow = _least_cost_start(a, b, sorted(range(m * n), key=cf.__getitem__), n)
     adj: list[list[int]] = [[] for _ in range(m + n)]
     for cell in flow:
         i, j = divmod(cell, n)
@@ -151,15 +139,8 @@ def wasserstein_1(mu, nu, cost) -> int | float:
         if iteration >= bland_after:  # Bland: first negative cell in row-major order
             entering = next((k for k in range(m * n) if k not in flow
                              and cf[k] - pot[k // n] - pot[m + k % n] < -_EPS), -1)
-        elif small:
-            entering = _dantzig(cf, pot, flow, m, n)
         else:
-            p = np.array(pot)
-            reduced = c - p[:m, None] - p[m:]
-            reduced.put(list(flow), 0)
-            entering = int(reduced.argmin())
-            if reduced.item(entering) >= -_EPS:
-                entering = -1
+            entering = _dantzig(cf, pot, flow, m, n)
         if entering < 0:
             break
         i0, j0 = divmod(entering, n)

@@ -461,6 +461,29 @@ class TestOllivierRicciExact:
         assert type(got) is int
         assert got == wasserstein_exhaustive(*instance)
 
+    def test_wide_instances_match_linprog(self, rng):
+        # Up to 14 x 14 = 196 cells, past the 8 x 8 of the other transport
+        # tests; hub edges of BA graphs give instances of this width.
+        for _ in range(40):
+            m, n = rng.randint(9, 14), rng.randint(9, 14)
+            wa = [rng.randint(1, 1000) for _ in range(m)]
+            wb = [rng.randint(1, 1000) for _ in range(n)]
+            mu, nu = [w * sum(wb) for w in wa], [w * sum(wa) for w in wb]
+            cost = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
+            want = linprog_w1(np.array(mu, float), np.array(nu, float), np.array(cost, float))
+            got = wasserstein_1(mu, nu, cost)
+            assert type(got) is int
+            assert abs(got - want) <= 1e-9 * sum(mu)
+            total = sum(mu)
+            as_float = wasserstein_1(np.array(mu) / total, np.array(nu) / total, np.array(cost, float))
+            assert type(as_float) is float
+            assert abs(as_float - want / total) <= 1e-9
+
+    @pytest.mark.parametrize("mu", [np.full((2, 1), 0.5), np.array(1.0), [[0.5], [0.5]], 1.0, [0.5, "0.5"]])
+    def test_malformed_masses_raise_value_error(self, mu):
+        with pytest.raises(ValueError):
+            wasserstein_1(mu, [0.5, 0.5], [[0, 1], [1, 0]])
+
     def test_values_do_not_depend_on_labels(self, rng):
         for _ in range(195):
             g = erdos_renyi(rng.randint(8, 16), rng.uniform(0.2, 0.6), rng)
