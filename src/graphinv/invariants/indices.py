@@ -95,16 +95,22 @@ def gutman(g: Graph) -> float:
 
 def szeged(g: Graph) -> float:
     """Per edge, count vertices strictly closer to each endpoint;
-    equidistant and unreachable vertices count for neither side."""
+    equidistant and unreachable vertices count for neither side.
+
+    The two endpoints of an edge share a component, so a vertex is
+    unreachable from both (UNREACHABLE on both rows, neither closer) or
+    from neither. Edges go in chunks of at most n, so no comparison is
+    larger than the distance matrix."""
     dist = bfs_all_pairs(g)
-    total = 0.0
-    for u, v in g.edges:
-        du, dv = dist[u], dist[v]
-        reachable = (du != UNREACHABLE) & (dv != UNREACHABLE)
-        closer_u = int(np.sum(reachable & (du < dv)))
-        closer_v = int(np.sum(reachable & (dv < du)))
-        total += closer_u * closer_v
-    return total
+    n = g.n_vertices
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    total = 0
+    for start in range(0, len(e), max(n, 1)):
+        du, dv = dist[e[start:start + n, 0]], dist[e[start:start + n, 1]]
+        closer_u = np.count_nonzero(du < dv, axis=1)
+        closer_v = np.count_nonzero(dv < du, axis=1)
+        total += sum((closer_u * closer_v).tolist())
+    return float(total)
 
 
 def balaban(g: Graph) -> float:

@@ -89,7 +89,8 @@ class EdgeDistribution:
 
     Variance is the population variance; skewness and kurtosis are
     standardized central moments (kurtosis non-excess); zero-variance
-    distributions report skewness 0 and kurtosis 0.
+    distributions report skewness 0 and kurtosis 0. `values` keep the edge
+    order; the moments are computed from the sorted values.
     """
 
     values: np.ndarray
@@ -101,8 +102,11 @@ class EdgeDistribution:
 
 def edge_distribution(values: np.ndarray) -> EdgeDistribution:
     values = np.asarray(values, dtype=np.float64)
-    mean = float(values.mean())
-    centered = values - mean
+    # Summed in sorted order, the moments depend on the values as a multiset,
+    # not on the edge order or the vertex labels.
+    ordered = np.sort(values)
+    mean = float(ordered.mean())
+    centered = ordered - mean
     variance = float(np.mean(centered**2))
     # Degenerate distributions take (0, 0): the cutoff treats a standard
     # deviation at rounding scale as zero, since standardizing by it would
@@ -141,9 +145,15 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
     signed difference mu_u - mu_v is moved, since W_1(mu, nu) =
     W_1((mu - nu)^+, (mu - nu)^-) under the graph metric, and sources with
     equal cost rows (sinks with equal cost columns) are merged, their
-    masses summed. The optimum C is then an exact integer and the value
-    (L - C) / L is one correctly rounded division, so it depends neither
-    on the pivot order nor on the vertex labels.
+    masses summed. When u is a source and v a sink, min(excess_u, -excess_v)
+    first goes along the edge at cost 1. That is optimal: every source x
+    lies in B_1(u) and every sink y in B_1(v), so d(x, y) <= 1 + min(d(u, y),
+    d(x, v)), and as all common neighbours carry the sign of d_v - d_u,
+    d(u, y) = d(x, v) = 1 cannot hold together; uncrossing u -> y and
+    x -> v into u -> v and x -> y therefore never costs more. The optimum C
+    is then an exact integer and the value (L - C) / L is one correctly
+    rounded division, so it depends neither on the pivot order nor on the
+    vertex labels.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"laziness must lie in [0, 1), got {alpha}")
@@ -162,6 +172,9 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
         for y in nbrs[v]:
             excess[y] = excess.get(y, 0) - step
         excess[v] -= p * du * dv
+        routed = max(0, min(excess[u], -excess[v]))  # u a source and v a sink
+        excess[u] -= routed
+        excess[v] += routed
         sinks = [y for y, r in excess.items() if r < 0]
         supply: dict[tuple[int, ...], int] = {}  # cost row to the sinks -> mass
         for x, r in excess.items():
@@ -172,7 +185,9 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
         demand: dict[tuple[int, ...], int] = {}  # cost column from the merged rows -> mass
         for y, column in zip(sinks, zip(*supply)):
             demand[column] = demand.get(column, 0) - excess[y]
-        moved = wasserstein_1(list(supply.values()), list(demand.values()), list(zip(*demand))) if supply else 0
+        moved = routed
+        if supply:
+            moved += wasserstein_1(list(supply.values()), list(demand.values()), list(zip(*demand)))
         values[e] = (scale - moved) / scale
     return edge_distribution(values)
 

@@ -25,7 +25,9 @@ from graphinv.invariants.indices import (
 from conftest import (
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
+    erdos_renyi,
     path_graph,
     random_graph,
     random_permutation,
@@ -146,6 +148,20 @@ class TestAgainstNaiveReferences:
                 got = val(general_randic(g, c))
                 want = oracles.general_randic(n, edges, c)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+class TestSzeged:
+    def test_equals_oracle_exactly(self, rng):
+        graphs = [empty_graph(0), empty_graph(1), empty_graph(5), complete_graph(7),
+                  disjoint_union(complete_graph(5), cycle_graph(6)), disjoint_union(path_graph(4), empty_graph(3))]
+        graphs += [erdos_renyi(rng.randint(4, 14), rng.uniform(0.1, 0.9), rng) for _ in range(150)]
+        for g in graphs:
+            got = szeged(g)
+            assert type(got) is float
+            assert got == oracles.szeged(g.n_vertices, g.edges)
+        # several chunks of n edges, disconnected graphs, edgeless ones
+        assert sum(g.n_edges > 2 * g.n_vertices for g in graphs) >= 10
+        assert sum(g.n_edges == 0 for g in graphs) >= 3
 
 
 class TestPermutationInvariance:

@@ -1,12 +1,13 @@
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphinv.graph import adjacency_matrix, degree_vector, relabel
+from graphinv.graph import adjacency_matrix, adjacency_sets, degree_vector, relabel
 from graphinv.invariants import BlockFailure, homcount, topo
 from graphinv.invariants.homcount import count_all_patterns, count_patterns
 from graphinv.invariants.patterns import PATTERN_CATALOG
@@ -25,6 +26,7 @@ from graphinv.invariants.topo import (
 from graphinv.invariants.transport import wasserstein_1
 
 from conftest import (
+    barabasi_albert,
     catalog_compute,
     complete_graph,
     cycle_graph,
@@ -479,6 +481,39 @@ class TestOllivierRicciExact:
             assert type(as_float) is float
             assert abs(as_float - want / total) <= 1e-9
 
+    @settings(max_examples=150, deadline=None)
+    @given(instance=integer_instances(), data=st.data())
+    def test_integer_optimum_ignores_row_and_column_order(self, instance, data):
+        # The solver reorders rows and columns by cost sum before its start;
+        # no order it is handed may change the optimum.
+        mu, nu, cost = instance
+        rows = data.draw(st.permutations(range(len(mu))))
+        cols = data.draw(st.permutations(range(len(nu))))
+        got = wasserstein_1([mu[i] for i in rows], [nu[j] for j in cols], [[cost[i][j] for j in cols] for i in rows])
+        assert type(got) is int
+        assert got == wasserstein_1(mu, nu, cost)
+
+    def test_edge_mass_routed_first_matches_linprog(self, rng):
+        # Scaled by L = Q d_u d_v, u carries excess d_u (P d_v - (Q - P)), so it
+        # is a source exactly when alpha (d_v + 1) > 1, v is a sink exactly when
+        # alpha (d_u + 1) > 1, and a common neighbour carries (Q - P)(d_v - d_u).
+        # Only when u is a source and v a sink does the edge carry its mass first.
+        seen = Counter()
+        graphs = [barabasi_albert(30, 3, rng) for _ in range(2)] + [erdos_renyi(12, 0.5, rng) for _ in range(3)]
+        for alpha in (0.1, 0.5, 0.9):
+            a = Fraction(alpha)
+            for g in graphs:
+                deg, nbrs = degree_vector(g), adjacency_sets(g)
+                for u, v in g.edges:
+                    du, dv = int(deg[u]), int(deg[v])
+                    source_u, sink_v = a * (dv + 1) > 1, a * (du + 1) > 1
+                    seen["routed" if source_u and sink_v else "u sink" if a * (dv + 1) < 1 else "other"] += 1
+                    if nbrs[u] & nbrs[v] and du != dv:
+                        seen["common sources" if dv > du else "common sinks"] += 1
+                want = [1.0 - w1 for w1 in lazy_walk_w1(g, alpha, exact=False)]
+                np.testing.assert_allclose(ollivier_ricci(g, alpha).values, want, rtol=0, atol=1e-12)
+        assert min(seen[case] for case in ("routed", "u sink", "common sources", "common sinks")) > 0, seen
+
     @pytest.mark.parametrize("mu", [np.full((2, 1), 0.5), np.array(1.0), [[0.5], [0.5]], 1.0, [0.5, "0.5"]])
     def test_malformed_masses_raise_value_error(self, mu):
         with pytest.raises(ValueError):
@@ -505,6 +540,26 @@ class TestOllivierRicciExact:
             for alpha in (0.625, 0.75):
                 other = ollivier_ricci(g, alpha).values / (1 - alpha)
                 assert np.all(np.abs(other - half) <= 4 * 2.0**-53 * np.abs(half))
+
+
+class TestCurvatureMoments:
+    def test_moments_do_not_depend_on_labels(self, rng):
+        # The moments sum the sorted per-edge values, so a relabelling, which
+        # reorders the edges, leaves every moment bit for bit.
+        names = [f"{c}_ricci_{m}" for c in ("forman", "ollivier") for m in ("mean", "variance", "skewness", "kurtosis")]
+        computes = {name: catalog_compute(name) for name in names}
+        for i in range(40):
+            if i % 2:
+                g = erdos_renyi(rng.randint(8, 20), rng.uniform(0.2, 0.6), rng)
+            else:
+                g = barabasi_albert(rng.randint(8, 30), 2, rng)
+            if g.n_edges == 0:
+                continue
+            h = relabel(g, random_permutation(g.n_vertices, rng))
+            for name, compute in computes.items():
+                a, b = compute(g), compute(h)
+                assert a.ok and b.ok
+                assert np.asarray(a.values).tobytes() == np.asarray(b.values).tobytes(), name
 
 
 class TestCommuteTime:
