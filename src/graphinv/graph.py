@@ -55,6 +55,13 @@ class Graph:
         return len(self.edges)
 
 
+def _feature_matrix(rows) -> np.ndarray:
+    """Rows as a float64 array; [] (which JSON gives for any matrix without
+    rows) is a 0 x 0 matrix."""
+    x = np.asarray(rows, dtype=np.float64)
+    return x.reshape(0, 0) if x.shape == (0,) else x
+
+
 def make_graph(
     n_vertices: int,
     edges: Iterable[tuple[int, int]],
@@ -84,10 +91,10 @@ def make_graph(
     canon = [(u, v) if u < v else (v, u) for u, v in raw]
 
     if edge_features is not None:
-        ef = np.asarray(edge_features, dtype=np.float64)
+        ef = _feature_matrix(edge_features)
         if ef.ndim != 2 or ef.shape[0] != len(raw):
             raise GraphDataError(
-                f"edge_features rows {np.asarray(ef).shape[0] if np.ndim(ef) else 0} "
+                f"edge_features rows {ef.shape[0] if ef.ndim else 0} "
                 f"!= {len(raw)} edges"
             )
         if len(set(canon)) != len(canon):
@@ -101,7 +108,7 @@ def make_graph(
 
     nf = None
     if node_features is not None:
-        nf = np.asarray(node_features, dtype=np.float64)
+        nf = _feature_matrix(node_features)
         if nf.ndim != 2 or nf.shape[0] != n_vertices:
             raise GraphDataError(
                 f"node_features rows {nf.shape[0] if nf.ndim else 0} "

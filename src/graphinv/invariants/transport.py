@@ -1,4 +1,4 @@
-"""Exact 1-Wasserstein distance between small discrete measures.
+"""Exact 1-Wasserstein distance between small discrete integer measures.
 
 Solved with a transportation simplex specialized for the tiny dense
 instances that arise from neighbourhood measures; when an edge uv has a
@@ -15,21 +15,11 @@ re-hangs only the subtree the leaving cell cut off, with its dual
 potentials. Dantzig pivoting is used first and Bland's rule takes over if
 an instance ever threatens to cycle.
 
-Masses, costs, flows and potentials are plain Python numbers. When every
-mass and cost is an integer (Python ints, which may pass int64) the flows
-and potentials are integers too and the optimum is exact; otherwise
-everything is taken as float and the optimum is exact up to float rounding
-on the mass updates.
+Masses, costs, flows and potentials are Python ints (which may pass int64),
+so every reduced cost and mass update is exact and so is the optimum.
 """
 
 from __future__ import annotations
-
-import math
-
-import numpy as np
-
-_EPS = 1e-11
-_BALANCE_TOL = 1e-9
 
 
 class TransportError(RuntimeError):
@@ -37,7 +27,7 @@ class TransportError(RuntimeError):
     inputs)."""
 
 
-def _least_cost_start(a: list, b: list, order: list[int], n: int) -> dict[int, int | float]:
+def _least_cost_start(a: list[int], b: list[int], order: list[int], n: int) -> dict[int, int]:
     """Flows of the m + n - 1 basic cells by row-major index, taking cells in
     `order`; uses up `a` and `b`. A cell reached with its row and column open
     takes min(a_i, b_j) and closes one of the two, never the last open row or
@@ -45,7 +35,7 @@ def _least_cost_start(a: list, b: list, order: list[int], n: int) -> dict[int, i
     m = len(a)
     row_open, col_open = [True] * m, [True] * n
     rows_left, cols_left = m, n
-    flow: dict[int, int | float] = {}
+    flow: dict[int, int] = {}
     for cell in order:
         i, j = divmod(cell, n)
         if not (row_open[i] and col_open[j]):
@@ -82,10 +72,10 @@ def _hang(adj, cf, m, n, pot, parent, depth, node: int, via: int) -> None:
                 stack.append(y)
 
 
-def _dantzig(cf: list, pot: list, flow: dict, m: int, n: int) -> int:
+def _dantzig(cf: list[int], pot: list[int], flow: dict[int, int], m: int, n: int) -> int:
     """First non-basic cell, in row-major order, of the most negative reduced
-    cost below -_EPS, or -1."""
-    entering, best = -1, -_EPS
+    cost, or -1."""
+    entering, best = -1, 0
     cols = pot[m:]
     k = 0
     for i in range(m):
@@ -98,35 +88,29 @@ def _dantzig(cf: list, pot: list, flow: dict, m: int, n: int) -> int:
     return entering
 
 
-def wasserstein_1(mu, nu, cost) -> int | float:
-    """Optimal transport cost between distributions `mu` (m,) and `nu` (n,)
-    under the `cost` matrix (m, n), given as arrays or (nested) sequences of
-    numbers. Masses must be finite and non-negative and both distributions
-    must have the same total (1 for probability measures); anything else
-    raises ValueError. When every mass and cost is a Python int (an integer array
-    gives ints too) the exact integer optimum is returned as an int;
-    otherwise the inputs are taken as float64 and a float is returned."""
-    if isinstance(cost, np.ndarray):
-        cost = cost.tolist() if cost.ndim == 2 else ()
-    try:  # a 0-d or 2-d mass array fails at len or sum with TypeError
-        a = mu.tolist() if isinstance(mu, np.ndarray) else list(mu)
-        b = nu.tolist() if isinstance(nu, np.ndarray) else list(nu)
+def wasserstein_1(mu, nu, cost) -> int:
+    """Exact optimal transport cost between the integer measures `mu` (m,)
+    and `nu` (n,) under the integer `cost` matrix (m, n), given as sequences
+    of Python ints. Masses must be non-negative and both measures must have
+    the same total; anything else, a float, a numpy scalar or array among
+    them, raises ValueError."""
+    try:  # a 0-d mass array fails at list, a nested mass at sum
+        a, b = list(mu), list(nu)
         m, n = len(a), len(b)
         if len(cost) != m or any(len(row) != n for row in cost):
             raise ValueError("distribution lengths do not match the cost matrix")
         cf = [c for row in cost for c in row]
         sa, sb = sum(a), sum(b)
-        if not type(sa) is type(sb) is type(sum(cf)) is int:
-            a, b, cf = [float(x) for x in a], [float(x) for x in b], [float(c) for c in cf]
-            sa, sb = sum(a), sum(b)  # not finite exactly when some mass is NaN or infinite
-            if not (math.isfinite(sa) and math.isfinite(sb)):
-                raise ValueError("masses must be finite and non-negative")
+        # A float or numpy entry makes its sum another type than int.
+        ints = type(sa) is type(sb) is type(sum(cf)) is int
     except TypeError:
-        raise ValueError("masses and costs must be flat sequences of numbers") from None
+        ints = False
+    if not ints:
+        raise ValueError("masses and costs must be flat sequences of Python ints")
     if min(a) < 0 or min(b) < 0:
-        raise ValueError("masses must be finite and non-negative")
-    if abs(sa - sb) > _BALANCE_TOL:
-        raise ValueError(f"unbalanced measures: masses sum to {sa!r} and {sb!r}")
+        raise ValueError("masses must be non-negative")
+    if sa != sb:
+        raise ValueError(f"unbalanced measures: masses sum to {sa} and {sb}")
 
     # Fewest cheap cells first (see the module docstring).
     rows = sorted(range(m), key=lambda i: -sum(cf[i * n:i * n + n]))
@@ -148,7 +132,7 @@ def wasserstein_1(mu, nu, cost) -> int | float:
     for iteration in range(max_iter):
         if iteration >= bland_after:  # Bland: first negative cell in row-major order
             entering = next((k for k in range(m * n) if k not in flow
-                             and cf[k] - pot[k // n] - pot[m + k % n] < -_EPS), -1)
+                             and cf[k] - pot[k // n] - pot[m + k % n] < 0), -1)
         else:
             entering = _dantzig(cf, pot, flow, m, n)
         if entering < 0:

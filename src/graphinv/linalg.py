@@ -42,33 +42,31 @@ def default_rank_tol(eigenvalues: np.ndarray) -> float:
     return 1e-10 * max(radius, 1.0)
 
 
-def pseudoinverse(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def pseudoinverse(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the symmetric ``m`` via
     eigendecomposition.
 
-    Eigenvalues with ``|lam| <= rank_tol`` invert to 0, the rest to
-    ``1/lam``, reassembled in the same eigenbasis. The reassembly is
-    symmetric only up to rounding, so the result is (P + P^T) / 2.
+    Eigenvalues with ``|lam| <= default_rank_tol(lam)`` invert to 0, the
+    rest to ``1/lam``, reassembled in the same eigenbasis. The reassembly
+    is symmetric only up to rounding, so the result is (P + P^T) / 2.
     """
     try:
         lam, vec = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed for order {len(m)}: {exc}") from None
-    tol = default_rank_tol(lam) if rank_tol is None else rank_tol
-    inv = np.where(np.abs(lam) > tol, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
+    inv = np.where(np.abs(lam) > default_rank_tol(lam), 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
     p = (vec * inv) @ vec.T
     return freeze((p + p.T) / 2.0)
 
 
-def spectrum_log_pseudo_determinant(lam: np.ndarray, rank_tol: float | None = None) -> float:
+def spectrum_log_pseudo_determinant(lam: np.ndarray) -> float:
     """log |pseudo-determinant| from the eigenvalues ``lam``: the sum of the
-    logs of those with ``|lam| > rank_tol`` (overflow-safe).
+    logs of those with ``|lam| > default_rank_tol(lam)`` (overflow-safe).
 
     Only valid for positive-semidefinite spectra, where the retained
     eigenvalues are positive.
     """
-    tol = default_rank_tol(lam) if rank_tol is None else rank_tol
-    keep = lam[np.abs(lam) > tol]
+    keep = lam[np.abs(lam) > default_rank_tol(lam)]
     return float(np.sum(np.log(keep))) if keep.size else 0.0
 
 

@@ -237,7 +237,38 @@ class TestExports:
         assert payload["greedy_subset"] == [{"name": "inv0", "marginal_gain": 1}]
 
 
+def graph6_encode(n: int, edges) -> bytes:
+    """graph6 of an n-vertex graph, n < 258048: the size as one byte, or
+    as '~' and three 6-bit bytes from 63 on, then the upper triangle
+    column by column, six bits a byte, padded with zeros."""
+    size = [n] if n < 63 else [63, n >> 12, n >> 6 & 63, n & 63]
+    present = set(edges)
+    bits = [(i, j) in present for j in range(1, n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    body = [sum(bit << (5 - s) for s, bit in enumerate(bits[k:k + 6])) for k in range(0, len(bits), 6)]
+    return bytes(v + 63 for v in size + body)
+
+
+@st.composite
+def graph6_graphs(draw):
+    """(n, edges): both size headers occur, empty and complete graphs too."""
+    n = draw(st.one_of(st.integers(0, 62), st.integers(63, 80)))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    if not pairs:
+        return n, []
+    return n, draw(st.one_of(st.just(pairs), st.lists(st.sampled_from(pairs), max_size=100)))
+
+
 class TestPairInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=graph6_graphs(), prefix=st.sampled_from([b"", b">>graph6<<"]), as_text=st.booleans())
+    def test_graph6_decodes_encoder_output(self, graph, prefix, as_text):
+        n, edges = graph
+        data = prefix + graph6_encode(n, edges)
+        g = graph6_to_graph(data.decode("ascii") if as_text else data)
+        assert g.n_vertices == n
+        assert g.edges == tuple(sorted(set(edges)))
+
     def test_jsonl_roundtrip(self):
         g, h = cycle_graph(6), two_triangles()
         line = json.dumps(

@@ -13,8 +13,11 @@ from graphinv.graph import (
     bfs_all_pairs,
     connected_components,
     degree_vector,
+    graph_from_obj,
+    graph_to_obj,
     make_graph,
     parse_jsonl_dataset,
+    read_jsonl,
     relabel,
 )
 
@@ -32,7 +35,61 @@ from strategies import block_graphs
 from oracles import components, floyd_warshall
 
 
+#: Floats on a 1/64 grid survive any decimal round trip exactly.
+GRID_FLOATS = st.integers(-512, 512).map(lambda k: k / 64)
+
+#: Ids with the characters that break CSV fields and JSON lines.
+IDS = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.sampled_from([",", '"', "\n", "\r", "\\", " ", "a", "\u00e9"]), max_size=8).map("".join),
+)
+
+
+def feature_matrices(rows: int):
+    """None, or a rows x d array, d in 1..3."""
+    return st.one_of(st.none(), st.integers(1, 3).flatmap(lambda d: st.lists(
+        GRID_FLOATS, min_size=rows * d, max_size=rows * d).map(lambda x: np.array(x).reshape(rows, d))))
+
+
+@st.composite
+def featured_graphs(draw):
+    g = draw(block_graphs(max_n=8))
+    return make_graph(
+        g.n_vertices,
+        g.edges,
+        node_features=draw(feature_matrices(g.n_vertices)),
+        edge_features=draw(feature_matrices(g.n_edges)),
+        id=draw(IDS),
+        label=draw(st.one_of(st.none(), st.integers(-5, 5), GRID_FLOATS, IDS, st.lists(st.integers(0, 4), max_size=3))),
+    )
+
+
+def same_features(got, want) -> bool:
+    """Equal matrices. JSON writes a matrix without rows as [], which holds
+    no width, so such a matrix comes back 0 x 0."""
+    if want is None or got is None:
+        return got is want
+    return np.array_equal(got, want if len(want) else want.reshape(0, 0))
+
+
 class TestParseJsonl:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(featured_graphs(), max_size=4))
+    def test_graph_to_obj_round_trip(self, graphs):
+        text = "\n".join(json.dumps(graph_to_obj(g)) for g in graphs)
+        back = [graph_from_obj(obj, "default") for _, obj in read_jsonl(text)]
+        assert len(back) == len(graphs)
+        for h, g in zip(back, graphs):
+            assert (h.n_vertices, h.edges, h.id, h.label) == (g.n_vertices, g.edges, g.id, g.label)
+            assert type(h.label) is type(g.label)
+            assert same_features(h.node_features, g.node_features)
+            assert same_features(h.edge_features, g.edge_features)
+
+    def test_empty_feature_lists_are_matrices_without_rows(self):
+        line = json.dumps({"num_nodes": 0, "edges": [], "node_features": [], "edge_features": []})
+        g = parse_jsonl_dataset(line).graphs[0]
+        assert g.node_features.shape == g.edge_features.shape == (0, 0)
+
     def test_triangle_with_features(self):
         line = json.dumps(
             {"id": "t", "num_nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]],

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,46 +33,53 @@ def linprog_w1(mu, nu, cost):
 
 
 def random_instance(rng, max_side=8, degenerate=False):
+    """Balanced integer masses of total sum(wa) * sum(wb); `degenerate`
+    gives uniform measures."""
     m, n = rng.randint(1, max_side), rng.randint(1, max_side)
     if degenerate:
-        mu, nu = np.ones(m) / m, np.ones(n) / n
+        wa, wb = [1] * m, [1] * n
     else:
-        mu = np.array([rng.random() + 0.01 for _ in range(m)])
-        nu = np.array([rng.random() + 0.01 for _ in range(n)])
-        mu, nu = mu / mu.sum(), nu / nu.sum()
-    cost = np.array([[rng.randint(0, 4) for _ in range(n)] for _ in range(m)], dtype=float)
+        wa = [rng.randint(1, 100) for _ in range(m)]
+        wb = [rng.randint(1, 100) for _ in range(n)]
+    mu, nu = [w * sum(wb) for w in wa], [w * sum(wa) for w in wb]
+    cost = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m)]
     return mu, nu, cost
+
+
+def as_probabilities(mu, nu, cost):
+    """The integer instance as arrays of probability measures, for linprog."""
+    total = sum(mu)
+    return np.array(mu) / total, np.array(nu) / total, np.array(cost, dtype=float)
 
 
 class TestWasserstein:
     def test_identical_measures_zero(self):
-        mu = np.array([0.5, 0.3, 0.2])
-        cost = np.array([[0.0, 1, 2], [1, 0.0, 1], [2, 1, 0.0]])
-        assert wasserstein_1(mu, mu, cost) == pytest.approx(0.0, abs=1e-12)
+        mu = [5, 3, 2]
+        cost = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert wasserstein_1(mu, mu, cost) == 0
 
     def test_point_masses(self):
-        assert wasserstein_1(np.array([1.0]), np.array([1.0]), np.array([[3.0]])) == 3.0
+        assert wasserstein_1([1], [1], [[3]]) == 3
 
     def test_single_row_and_column(self):
-        mu = np.array([1.0])
-        nu = np.array([0.25, 0.75])
-        cost = np.array([[2.0, 4.0]])
-        assert wasserstein_1(mu, nu, cost) == pytest.approx(0.5 + 3.0)
+        mu = [4]
+        nu = [1, 3]
+        cost = [[2, 4]]
+        assert wasserstein_1(mu, nu, cost) == 4 * (0.5 + 3.0)
 
     def test_against_linprog(self, rng):
         for _ in range(300):
             mu, nu, cost = random_instance(rng)
-            assert wasserstein_1(mu, nu, cost) == pytest.approx(
-                linprog_w1(mu, nu, cost), abs=1e-9
-            )
+            got = wasserstein_1(mu, nu, cost)
+            assert type(got) is int
+            assert got / sum(mu) == pytest.approx(linprog_w1(*as_probabilities(mu, nu, cost)), abs=1e-9)
 
     def test_against_linprog_degenerate(self, rng):
         # uniform masses maximize pivot ties; exercises anti-cycling paths
         for _ in range(200):
             mu, nu, cost = random_instance(rng, max_side=6, degenerate=True)
-            assert wasserstein_1(mu, nu, cost) == pytest.approx(
-                linprog_w1(mu, nu, cost), abs=1e-9
-            )
+            got = wasserstein_1(mu, nu, cost)
+            assert got / sum(mu) == pytest.approx(linprog_w1(*as_probabilities(mu, nu, cost)), abs=1e-9)
 
     def test_against_exhaustive_plan_search(self, rng):
         for _ in range(25):
@@ -80,22 +88,17 @@ class TestWasserstein:
             nu = [Fraction(1, n)] * n
             cost = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
             want = wasserstein_exhaustive(mu, nu, cost)
-            got = wasserstein_1(
-                np.array([float(x) for x in mu]),
-                np.array([float(x) for x in nu]),
-                np.array(cost, dtype=float),
-            )
-            assert got == pytest.approx(float(want), abs=1e-9)
+            got = wasserstein_1([n] * m, [m] * n, cost)  # mu and nu times m n
+            assert Fraction(got, m * n) == want
 
     def test_tiny_mass_moved_at_unit_cost(self):
-        # 2e-9 of mass must cross at cost 1. At the default 1e-7 HiGHS
-        # tolerances the linprog oracle returned -2e-9 here.
-        mu = np.array([0.5 - 2e-9, 0.5 + 2e-9])
-        nu = np.array([0.5, 0.5])
-        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-        want = linprog_w1(mu, nu, cost)
-        assert want == pytest.approx(2e-9, rel=1e-6)
-        assert wasserstein_1(mu, nu, cost) == pytest.approx(want, rel=1e-9)
+        # 1 unit in 10**9 must cross at cost 1. At the default 1e-7 HiGHS
+        # tolerances the linprog oracle returned -1e-9 here.
+        mu = [500_000_000 - 1, 500_000_001]
+        nu = [500_000_000, 500_000_000]
+        cost = [[0, 1], [1, 0]]
+        assert linprog_w1(*as_probabilities(mu, nu, cost)) == pytest.approx(1e-9, rel=1e-6)
+        assert wasserstein_1(mu, nu, cost) == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -132,33 +135,61 @@ def as_arrays(mu, nu, cost):
     return np.array([float(x) for x in mu]), np.array([float(x) for x in nu]), np.array(cost, dtype=float)
 
 
+COST_SCALE = 1000
+
+
+def scaled(mu, nu, cost):
+    """The instance in integers: masses times their common denominator,
+    costs on the 1e-3 grid times COST_SCALE. Its optimum is the original
+    one times total * COST_SCALE, where total = sum of the scaled mu."""
+    d = math.lcm(*(x.denominator for x in mu + nu))
+    return [int(x * d) for x in mu], [int(x * d) for x in nu], [[round(c * COST_SCALE) for c in row] for row in cost]
+
+
 class TestOracleProperties:
     @settings(max_examples=300, deadline=None)
     @given(instances(max_side=8, integer_costs=False))
     def test_matches_linprog(self, instance):
-        mu, nu, cost = as_arrays(*instance)
-        assert wasserstein_1(mu, nu, cost) == pytest.approx(linprog_w1(mu, nu, cost), abs=1e-9)
+        mu, nu, cost = scaled(*instance)
+        got = wasserstein_1(mu, nu, cost) / (sum(mu) * COST_SCALE)
+        assert got == pytest.approx(linprog_w1(*as_arrays(*instance)), abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(instances(max_side=4, integer_costs=True))
     def test_matches_exhaustive_plan_search(self, instance):
         want = wasserstein_exhaustive(*instance)
-        assert wasserstein_1(*as_arrays(*instance)) == pytest.approx(float(want), abs=1e-9)
+        mu, nu, cost = scaled(*instance)
+        assert Fraction(wasserstein_1(mu, nu, cost), sum(mu) * COST_SCALE) == want
 
 
 class TestInputValidation:
+    """Masses and costs are Python ints; anything else raises ValueError."""
+
     def test_negative_mass(self):
         with pytest.raises(ValueError, match="non-negative"):
-            wasserstein_1(np.array([1.5, -0.5]), np.array([0.5, 0.5]), np.ones((2, 2)))
+            wasserstein_1([3, -1], [1, 1], [[1, 1], [1, 1]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_mass(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            wasserstein_1(np.array([0.5, 0.5]), np.array([bad, 0.5]), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="Python ints"):
+            wasserstein_1([1, 1], [bad, 1], [[1, 1], [1, 1]])
 
     def test_unbalanced_measures(self):
         with pytest.raises(ValueError, match="unbalanced"):
-            wasserstein_1(np.array([0.5, 0.5]), np.array([0.5, 0.25]), np.ones((2, 2)))
+            wasserstein_1([2, 2], [2, 1], [[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("mu, nu, cost", [
+        ([0.5, 0.5], [0.5, 0.5], [[0, 1], [1, 0]]),
+        ([1.0, 1.0], [1, 1], [[0, 1], [1, 0]]),
+        (np.array([1, 1], dtype=np.int64), [1, 1], [[0, 1], [1, 0]]),
+        ([np.int64(1), 1], [1, 1], [[0, 1], [1, 0]]),
+        ([Fraction(1), 1], [1, 1], [[0, 1], [1, 0]]),
+        ([1, 1], [1, 1], [[0, 1.0], [1, 0]]),
+        ([1, 1], [1, 1], np.array([[0, 1], [1, 0]])),
+    ], ids=["float", "integral float", "int64 array", "int64 scalar", "Fraction", "float cost", "int64 cost"])
+    def test_non_int_input(self, mu, nu, cost):
+        with pytest.raises(ValueError, match="Python ints"):
+            wasserstein_1(mu, nu, cost)
 
 
 class TestOllivierRicci:
