@@ -9,7 +9,7 @@ plain feature sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,6 +85,12 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
     statuses when a catalog is given, and a trailing label column when the
     dataset carries targets."""
     fingerprints = None if catalog is None else fingerprint_dataset(dataset, catalog)
+    # JSON keeps no edge-feature width for a graph without edges, so an
+    # edgeless graph takes the width of the dataset's edge features.
+    edge_dims = {g.edge_features.shape[1] for g in dataset if g.n_edges and g.edge_features is not None}
+    if len(edge_dims) == 1:
+        no_edges = np.zeros((0, *edge_dims))
+        dataset = [g if g.n_edges else replace(g, edge_features=no_edges) for g in dataset]
     vecs = [feature_sum(g) if config.mode == "sum" else feature_agg(g, config.hops) for g in dataset]
     dims = {vec.shape[0] for vec in vecs}
     if len(dims) > 1:

@@ -12,6 +12,7 @@ once, and ``connected_components`` is read off its distance matrix.
 from __future__ import annotations
 
 import functools
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,7 +156,9 @@ def read_jsonl(stream: IO | str | bytes, prefix: str = "line") -> Iterator[tuple
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        # Split at "\n", "\r\n" and "\r" only, as a file read in text mode
+        # is; str.splitlines would also split at U+2028 and other breaks.
+        stream = io.StringIO(stream, newline=None)
     for lineno, line in enumerate(stream, start=1):
         if isinstance(line, bytes):
             line = line.decode("utf-8")

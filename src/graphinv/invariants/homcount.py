@@ -13,14 +13,26 @@ with ``np.add.reduceat``).
 
 One placement extends every row along the CSR neighbour list of the
 image of its first already-placed neighbour, keeps the candidates that
-are adjacent to the images of the others (a binary search in the
-sorted edge codes) and projects onto the next boundary; a vertex that
-is summed out as soon as it is placed only multiplies each row's count
-by its number of images. Rows are extended in chunks of at most
-``_CHUNK_ROWS`` candidates, so memory stays O(m + table). The table
-after a sequence of placements depends only on that sequence, so the
-31 plans are walked as a trie: a shared prefix (63 distinct ones for
-138 steps) is computed once and reused by every pattern below it.
+are adjacent to the images of the others (a read of the dense adjacency
+matrix) and projects onto the next boundary. A vertex that is summed
+out as soon as it is placed only multiplies each row's count by its
+number of images: the degree of its one anchor's image, the entry of
+A @ A (common neighbours) for two anchors, and the extensions counted
+row by row for three or more. The last placement of a plan keeps no
+column, so the plan's count is the dot product of the counts with those
+numbers, without building or merging the final rows. Rows are extended
+in chunks of at most ``_CHUNK_ROWS`` candidates. The table after a
+sequence of placements depends only on that sequence, so the 31 plans
+are walked as a trie: a shared prefix (63 distinct ones for 138 steps)
+is computed once and reused by every pattern below it.
+
+Memory is O(m + table) for tree patterns, whose steps all have one
+anchor. The first step with two or more anchors reads the graph's n x n
+adjacency matrix (``graph.adjacency_matrix``) and the first two-anchor
+sum-out computes A @ A, one n**3 product held for that host, so a host
+with a cycle pattern costs O(n**2) memory on top. The full regime
+already holds n x n matrices of every graph (distances, Laplacians);
+a large sparse host counted on its own pays for them here.
 
 Counts are exact. Every partial table counts maps of a connected
 pattern with at most five vertices, so no entry or sum exceeds
@@ -32,11 +44,12 @@ path. Counts above the int64 range are reported by ``overflows_int64``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from ..graph import Graph
+from ..graph import Graph, adjacency_matrix
 from .patterns import PATTERN_CATALOG, Pattern
 
 _INT64_MAX = 2**63 - 1
@@ -98,13 +111,14 @@ _PLANS = tuple(_plan_for_order(p, tuple(map(int, order))) for p, order in zip(PA
 
 @dataclass(frozen=True)
 class _Host:
-    """The host graph as CSR neighbour lists plus sorted edge codes
-    ``u * n + v`` over both orientations of every edge."""
+    """The host graph as CSR neighbour lists. Steps with two or more
+    anchors also read its dense adjacency matrix and, on a two-anchor
+    sum-out, the common-neighbour counts A @ A, built on first use."""
 
+    graph: Graph
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    codes: np.ndarray
     dtype: object  # of the counts: np.int64, or object when that could overflow
 
     @classmethod
@@ -115,12 +129,17 @@ class _Host:
         indptr = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
         max_deg = int(np.diff(indptr).max()) if n else 0
         fits = n * max_deg ** (_MAX_ORDER - 1) <= _INT64_MAX
-        return cls(n, indptr, codes % n, codes, np.int64 if fits else object)
+        return cls(g, n, indptr, codes % n, np.int64 if fits else object)
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        q = u * self.n + v
-        pos = np.minimum(np.searchsorted(self.codes, q), len(self.codes) - 1)
-        return self.codes[pos] == q
+        return adjacency_matrix(self.graph)[u, v] > 0
+
+    @cached_property
+    def common(self) -> np.ndarray:
+        """(A @ A)[u, v]: the number of common neighbours of u and v, exact
+        in float64."""
+        a = adjacency_matrix(self.graph)
+        return a @ a
 
 
 def _sum_duplicates(keys: np.ndarray, counts: np.ndarray, n: int):
@@ -132,14 +151,12 @@ def _sum_duplicates(keys: np.ndarray, counts: np.ndarray, n: int):
         for column in keys.T:
             code = code * n + column
         order = np.argsort(code)
+        changed = np.diff(code[order]) != 0
     else:
         order = np.lexsort(keys.T[::-1])
-    keys, counts = keys[order], counts[order]
-    changed = np.zeros(len(keys) - 1, dtype=bool)
-    for column in keys.T:
-        changed |= column[1:] != column[:-1]
+        changed = (np.diff(keys[order], axis=0) != 0).any(axis=1)
     starts = np.concatenate([[0], np.flatnonzero(changed) + 1])
-    return keys[starts], np.add.reduceat(counts, starts)
+    return keys[order[starts]], np.add.reduceat(counts[order], starts)
 
 
 def _neighbour_lists(keys: np.ndarray, step: _Step, host: _Host):
@@ -176,6 +193,16 @@ def _extensions(keys: np.ndarray, step: _Step, host: _Host):
         start = stop
 
 
+def _images(keys: np.ndarray, step: _Step, host: _Host) -> np.ndarray:
+    """Per row, the number of images of the vertex `step` places."""
+    if len(step.anchors) == 2:
+        a, b = step.anchors
+        return host.common[keys[:, a], keys[:, b]].astype(np.int64)
+    if len(step.anchors) > 2:
+        return sum(np.bincount(rows, minlength=len(keys)) for rows, _ in _extensions(keys, step, host))
+    return _neighbour_lists(keys, step, host)[1]
+
+
 def _place(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host):
     """The table after `step`, from the table `keys`, `counts` before it."""
     width = keys.shape[1]
@@ -183,11 +210,9 @@ def _place(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host):
     if width not in step.keep:
         # The new vertex is summed out at once: multiply each row's count
         # by its number of images instead of building the extended rows.
-        if len(step.anchors) > 1:
-            images = sum(np.bincount(rows, minlength=len(keys))
-                         for rows, _ in _extensions(keys, step, host))
-        else:
-            images = _neighbour_lists(keys, step, host)[1]
+        images = _images(keys, step, host)
+        if not step.keep:  # the plan is finished: one row holds the total
+            return keys[:1, :0], np.array([counts @ images], dtype=counts.dtype)
         live = images > 0
         keys, counts = keys[live][:, step.keep], counts[live] * images[live]
         return _sum_duplicates(keys, counts, host.n) if merges else (keys, counts)

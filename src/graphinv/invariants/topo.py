@@ -130,7 +130,8 @@ def forman_ricci(g: Graph) -> EdgeDistribution:
     if g.n_edges == 0:
         raise BlockFailure("Forman curvature needs at least one edge")
     deg = degree_vector(g)
-    values = np.array([4.0 - deg[u] - deg[v] for u, v in g.edges])
+    u, v = np.array(g.edges).T
+    values = 4.0 - deg[u] - deg[v]
     return edge_distribution(values)
 
 
@@ -215,19 +216,36 @@ def _neighbourhood_traces(g: Graph) -> MappingProxyType[tuple[int, bool], float]
     """Sums over vertices of tr(A_N^4) and tr(A_N^8), with A_N the
     adjacency matrix induced on the open and on the closed neighbourhood
     N of the vertex, keyed by (p, closed). A_N is symmetric, so
-    tr(A_N^4) = ||A_N^2||_F^2 and tr(A_N^8) = ||A_N^4||_F^2."""
+    tr(A_N^4) = ||A_N^2||_F^2 and tr(A_N^8) = ||A_N^4||_F^2.
+
+    Vertices whose neighbourhoods have the same size k are taken together:
+    their k x k matrices A_N are stacked, at most n * n entries at a time,
+    and squared by one batched product. Each sum adds the per-vertex
+    values in vertex order."""
     a = adjacency_matrix(g)
-    totals = {(p, closed): 0.0 for closed in (False, True) for p in POWER_TRACE_EXPONENTS}
-    for i in range(g.n_vertices):
-        member = a[i] != 0
-        for closed in (False, True):
-            member[i] = closed
-            idx = np.flatnonzero(member)
-            sub = a[np.ix_(idx, idx)]
-            sq = sub @ sub
-            fourth = sq @ sq
-            totals[4, closed] += float(np.vdot(sq, sq))
-            totals[8, closed] += float(np.vdot(fourth, fourth))
+    n = g.n_vertices
+    totals = {}
+    for closed in (False, True):
+        member = a != 0
+        np.fill_diagonal(member, closed)
+        size = member.sum(axis=1)
+        fours, eights = np.zeros(n), np.zeros(n)
+        for k in set(size.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma
+            group = np.flatnonzero(size == k)
+            batch = n * n // (k * k)
+            for start in range(0, len(group), batch):
+                vs = group[start:start + batch]
+                idx = np.nonzero(member[vs])[1].reshape(len(vs), k)
+                sub = a[idx[:, :, None], idx[:, None, :]]
+                sq = sub @ sub
+                fourth = sq @ sq
+                fours[vs] = np.einsum("vij,vij->v", sq, sq)
+                eights[vs] = np.einsum("vij,vij->v", fourth, fourth)
+        for p, values in ((4, fours), (8, eights)):
+            total = 0.0
+            for value in values.tolist():
+                total += value
+            totals[p, closed] = total
     return MappingProxyType(totals)
 
 

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from graphinv.features import (
     feature_sum,
     write_features_csv,
 )
-from graphinv.graph import GraphDataset, make_graph, relabel
+from graphinv.graph import GraphDataset, make_graph, parse_jsonl_dataset, relabel
 from graphinv.registry import RegimeConfig, build_catalog
 
 from conftest import (
@@ -152,3 +155,34 @@ class TestCsv:
         header = path.read_text().splitlines()[0].split(",")
         assert header[:2] == ["graph_id", "sum.0.0"]
         assert "analytic_torsion.0" in header and "analytic_torsion.status" in header
+
+
+class TestEdgelessInFeaturedDataset:
+    """JSON keeps no edge-feature width for a graph without edges, so an
+    edgeless graph beside featured ones takes the dataset's width."""
+
+    K2 = {"id": "k2", "num_nodes": 2, "edges": [[0, 1]],
+          "node_features": [[1.0], [2.0]], "edge_features": [[3.0, 4.0]]}
+
+    def rows(self, tmp_path, mode, other):
+        ds = parse_jsonl_dataset("\n".join(json.dumps(o) for o in (self.K2, other)))
+        path = tmp_path / "rows.csv"
+        write_features_csv(ds, FeatureConfig(mode=mode, hops=2), None, path)
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    @pytest.mark.parametrize("mode", ["sum", "agg"])
+    @pytest.mark.parametrize("spelling", [{"edge_features": []}, {}])
+    def test_zero_edge_block(self, tmp_path, mode, spelling):
+        bare = {"id": "bare", "num_nodes": 2, "edges": [], "node_features": [[5.0], [6.0]], **spelling}
+        header, k2, row = self.rows(tmp_path, mode, bare)
+        assert header[1:] == feature_columns(FeatureConfig(mode=mode, hops=2), 3)
+        hops = [] if mode == "sum" else [0.0] * 6  # A = 0 for the edgeless graph
+        assert [float(x) for x in row[1:]] == [11.0, 0.0, 0.0] + hops
+        assert [float(x) for x in k2[1:4]] == [3.0, 6.0, 8.0]
+
+    @pytest.mark.parametrize("mode", ["sum", "agg"])
+    def test_edges_without_features_still_refused(self, tmp_path, mode):
+        p3 = {"id": "p3", "num_nodes": 3, "edges": [[0, 1], [1, 2]], "node_features": [[1.0]] * 3}
+        with pytest.raises(ValueError, match="inconsistent feature widths"):
+            self.rows(tmp_path, mode, p3)

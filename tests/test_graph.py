@@ -139,6 +139,25 @@ class TestParseJsonl:
         with pytest.raises(GraphDataError, match=f"^graph 'bad': {message}$"):
             parse_jsonl_dataset(line)
 
+    def test_lines_end_where_a_text_file_ends_them(self, tmp_path):
+        # Only "\n", "\r\n" and "\r" end a line, from a file, a str or
+        # bytes alike. Other Unicode breaks stay inside the id, and stray
+        # ones after a record are blank space on its line, not new lines.
+        records = [
+            {"id": "a\u2028b\u2029c\u0085d\ve\ff\x1cg", "num_nodes": 1},
+            {"id": "h", "num_nodes": 2},
+            {"id": "i", "num_nodes": 3},
+        ]
+        lines = [json.dumps(r, ensure_ascii=False) for r in records]
+        text = lines[0] + " \u2028\u2029\u0085\v\f\x1c\x1d\x1e\r\n" + lines[1] + "\r" + lines[2] + "\n"
+        path = tmp_path / "graphs.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            from_file = list(read_jsonl(fh))
+        assert from_file == [(1, records[0]), (2, records[1]), (3, records[2])]
+        assert list(read_jsonl(text)) == from_file
+        assert list(read_jsonl(text.encode("utf-8"))) == from_file
+
     def test_edge_features_follow_canonical_order(self):
         # input edges reversed and out of order; rows must be re-paired
         obj = {"id": "e", "num_nodes": 3, "edges": [[2, 1], [1, 0]],

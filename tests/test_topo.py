@@ -255,6 +255,20 @@ class TestHomomorphismOracleProperties:
         want = [count_homomorphisms_einsum(p.n_vertices, p.edges, a) for p in PATTERN_CATALOG]
         assert count_all_patterns(g) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(block_graphs(max_n=12))
+    def test_object_counts_match_einsum(self, g):
+        # With a tiny int64 bound every host with edges counts in Python
+        # integers (dtype=object), finishes each plan with an object dot
+        # product and merges rows by lexsort instead of base-n codes.
+        a = adjacency_matrix(g)
+        want = [count_homomorphisms_einsum(p.n_vertices, p.edges, a) for p in PATTERN_CATALOG]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homcount, "_INT64_MAX", 1)
+            if g.n_edges:
+                assert homcount._Host.of(g).dtype is object
+            assert count_all_patterns(g) == want
+
     @settings(max_examples=40, deadline=None)
     @given(block_graphs(max_n=5))
     def test_matches_exhaustive(self, g):
@@ -299,6 +313,17 @@ class TestHomomorphismOverflow:
         assert got[sides.index((1, 1))] == 2 * self.D
         assert got[sides.index((1, 4))] == self.D**4 + self.D > 2**63 - 1
 
+    def test_trees_read_no_dense_matrix(self, star, monkeypatch):
+        # Tree plans only ever extend along one anchor, so the dense
+        # adjacency matrix (25 GB for this star) and A @ A are never built.
+        def refuse(g):
+            raise AssertionError("dense adjacency read by a tree pattern")
+
+        monkeypatch.setattr(homcount, "adjacency_matrix", refuse)
+        sides = [tree_sides(PATTERN_CATALOG[i]) for i in self.TREES]
+        want = [self.D + 1] + [self.D**a + self.D**b for a, b in sides[1:]]
+        assert count_patterns(star, self.TREES) == want
+
     def test_reported_as_failed(self, star, monkeypatch):
         monkeypatch.setattr(topo, "count_all_patterns", lambda g: count_patterns(g, self.TREES))
         iv = catalog_compute("homomorphism_counts")(star)
@@ -320,6 +345,14 @@ class TestFormanRicci:
     def test_star(self):
         dist = forman_ricci(star_graph(4))
         assert np.all(dist.values == -1.0)
+
+    def test_equals_per_edge_formula(self, rng):
+        for _ in range(20):
+            g = random_graph(rng, min_n=3)
+            if g.n_edges:
+                deg = degree_vector(g)
+                want = np.array([4.0 - deg[u] - deg[v] for u, v in g.edges])
+                assert forman_ricci(g).values.tobytes() == want.tobytes()
 
     def test_no_edges_fails(self):
         with pytest.raises(BlockFailure, match="Forman curvature needs at least one edge"):
@@ -591,6 +624,25 @@ class TestCommuteTime:
         assert catalog_compute("commute_time_max")(cycle_graph(5)).ok
 
 
+def neighbourhood_traces_by_vertex(g):
+    """The per-vertex loop that the batched neighbourhood traces replaced:
+    for each vertex, the induced matrix A_N, squared twice, its Frobenius
+    norms added to running totals keyed by (p, closed)."""
+    a = adjacency_matrix(g)
+    totals = {(p, closed): 0.0 for closed in (False, True) for p in topo.POWER_TRACE_EXPONENTS}
+    for i in range(g.n_vertices):
+        member = a[i] != 0
+        for closed in (False, True):
+            member[i] = closed
+            idx = np.flatnonzero(member)
+            sub = a[np.ix_(idx, idx)]
+            sq = sub @ sub
+            fourth = sq @ sq
+            totals[4, closed] += float(np.vdot(sq, sq))
+            totals[8, closed] += float(np.vdot(fourth, fourth))
+    return totals
+
+
 class TestNeighbourhoodPowerTrace:
     def test_triangle_free_open_is_zero(self):
         for g in (cycle_graph(6), star_graph(5), path_graph(4)):
@@ -618,6 +670,23 @@ class TestNeighbourhoodPowerTrace:
             for p in topo.POWER_TRACE_EXPONENTS:
                 want = trace_by_matrix_powers(g.n_vertices, g.edges, p, closed)
                 assert val(neighbourhood_power_trace(g, p, closed)) == want
+
+    def test_equals_vertex_loop(self, rng):
+        # Below 2**53 every per-vertex value and sum is an exact integer,
+        # so the batched sums equal the loop's bit for bit.
+        graphs = [erdos_renyi(n, p, rng) for n in (1, 5, 20, 40) for p in (0.1, 0.3, 0.7)]
+        graphs += [barabasi_albert(60, 3, rng), disjoint_union(star_graph(6), empty_graph(3))]
+        for g in graphs:
+            want = neighbourhood_traces_by_vertex(g)
+            for (p, closed), total in want.items():
+                assert val(neighbourhood_power_trace(g, p, closed)) == total
+
+    def test_k120_near_vertex_loop(self):
+        # On K120 each tr(A_N^8) passes 2**53, so both ways round, in
+        # different orders; they agree to 1e-12.
+        g = complete_graph(120)
+        for (p, closed), total in neighbourhood_traces_by_vertex(g).items():
+            assert val(neighbourhood_power_trace(g, p, closed)) == pytest.approx(total, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("p", [4, 8])
     def test_k100_closed_forms(self, p):
