@@ -84,17 +84,18 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
     """One row per graph: graph_id, feature columns, invariant columns and
     statuses when a catalog is given, and a trailing label column when the
     dataset carries targets."""
-    fingerprints = None if catalog is None else fingerprint_dataset(dataset, catalog)
     # JSON keeps no edge-feature width for a graph without edges, so an
     # edgeless graph takes the width of the dataset's edge features.
     edge_dims = {g.edge_features.shape[1] for g in dataset if g.n_edges and g.edge_features is not None}
+    featured = dataset
     if len(edge_dims) == 1:
         no_edges = np.zeros((0, *edge_dims))
-        dataset = [g if g.n_edges else replace(g, edge_features=no_edges) for g in dataset]
-    vecs = [feature_sum(g) if config.mode == "sum" else feature_agg(g, config.hops) for g in dataset]
+        featured = [g if g.n_edges else replace(g, edge_features=no_edges) for g in dataset]
+    vecs = [feature_sum(g) if config.mode == "sum" else feature_agg(g, config.hops) for g in featured]
     dims = {vec.shape[0] for vec in vecs}
     if len(dims) > 1:
         raise ValueError(f"inconsistent feature widths across dataset: {sorted(dims)}")
+    fingerprints = None if catalog is None else fingerprint_dataset(dataset, catalog)
 
     header: list[str] = ["graph_id"]
     if vecs:

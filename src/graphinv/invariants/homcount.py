@@ -1,7 +1,7 @@
-"""Homomorphism counting of small patterns into a host graph.
+"""Homomorphism counting of small patterns into host graphs.
 
 Counts adjacency-preserving (not necessarily injective) vertex maps from
-each catalog pattern into the host graph by dynamic programming over a
+each catalog pattern into a host graph by dynamic programming over a
 path decomposition of the pattern. Vertices are placed one at a time in
 a connected order chosen to minimize the active-boundary width; the
 table after each placement holds one row per distinct image of the
@@ -19,33 +19,54 @@ out as soon as it is placed only multiplies each row's count by its
 number of images: the degree of its one anchor's image, the entry of
 A @ A (common neighbours) for two anchors, and the extensions counted
 row by row for three or more. The last placement of a plan keeps no
-column, so the plan's count is the dot product of the counts with those
+column, so the plan's count is the sum of the counts times those
 numbers, without building or merging the final rows. Rows are extended
-in chunks of at most ``_CHUNK_ROWS`` candidates. The table after a
+at most ``_CHUNK_ROWS`` candidates at a time. The table after a
 sequence of placements depends only on that sequence, so the 31 plans
 are walked as a trie: a shared prefix (63 distinct ones for 138 steps)
 is computed once and reused by every pattern below it.
 
+The DP runs over a chunk of graphs at once, so that its numpy calls,
+about 60 placements per walk, are paid once per chunk rather than once
+per graph. The host is the disjoint union of the chunk: one CSR over
+global vertex ids, each graph's vertices consecutive. A connected
+pattern maps into one graph, so every row of a table lies in one graph
+and each plan's last placement sums its rows per graph. Inside
+``batch`` (``registry.fingerprint_dataset`` opens one),
+``count_all_patterns`` of a graph counts the chunk that graph opens: it
+and the graphs after it still to count, in order, while their summed
+n**2 stays within ``_CHUNK_SQUARES`` = 2**16. A graph with n > 256 is a
+chunk alone, as is every graph counted outside a batch. If the union
+raises, its graphs are counted one by one, so an error lands on the
+graph that causes it.
+
 Memory is O(m + table) for tree patterns, whose steps all have one
-anchor. The first step with two or more anchors reads the graph's n x n
-adjacency matrix (``graph.adjacency_matrix``) and the first two-anchor
-sum-out computes A @ A, one n**3 product held for that host, so a host
-with a cycle pattern costs O(n**2) memory on top. The full regime
+anchor; the tables of a chunk hold the rows of all its graphs. The
+first step with two or more anchors reads each graph's n x n adjacency
+matrix (``graph.adjacency_matrix``) and the first two-anchor sum-out
+computes its A @ A, both stored flat per chunk: at most 2**16 entries
+each for a chunk of several graphs, n**2 for a large graph alone, which
+pays one n**3 product and O(n**2) memory on top. The full regime
 already holds n x n matrices of every graph (distances, Laplacians);
 a large sparse host counted on its own pays for them here.
 
 Counts are exact. Every partial table counts maps of a connected
-pattern with at most five vertices, so no entry or sum exceeds
-n * maxdeg**4; when that bound fits in int64 the counts are int64,
-otherwise they are Python integers (``dtype=object``) on the same code
-path. Counts above the int64 range are reported by ``overflows_int64``.
+pattern with at most five vertices into one graph, so no entry or sum
+exceeds n * maxdeg**4 of that graph; when that bound fits in int64 for
+every graph of the chunk the counts are int64, otherwise they are
+Python integers (``dtype=object``) on the same code path. A graph with
+n <= 256 has a bound below 2**40, so only a graph counted alone can
+need Python integers. Counts above the int64 range are reported by
+``overflows_int64``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +75,7 @@ from .patterns import PATTERN_CATALOG, Pattern
 
 _INT64_MAX = 2**63 - 1
 _CHUNK_ROWS = 1 << 13  # candidate rows built at once within one step
+_CHUNK_SQUARES = 1 << 16  # summed n**2 of the graphs counted together
 _MAX_ORDER = max(p.n_vertices for p in PATTERN_CATALOG)
 
 
@@ -107,39 +129,78 @@ _ORDERS = (
 )
 
 _PLANS = tuple(_plan_for_order(p, tuple(map(int, order))) for p, order in zip(PATTERN_CATALOG, _ORDERS))
+_ALL = range(len(_PLANS))
 
 
 @dataclass(frozen=True)
 class _Host:
-    """The host graph as CSR neighbour lists. Steps with two or more
-    anchors also read its dense adjacency matrix and, on a two-anchor
-    sum-out, the common-neighbour counts A @ A, built on first use."""
+    """The disjoint union of a chunk of graphs as CSR neighbour lists over
+    global vertex ids; the vertices of each graph are consecutive, in
+    chunk order. Steps with two or more anchors also read each graph's
+    dense adjacency matrix and, on a two-anchor sum-out, its
+    common-neighbour counts A @ A, built on first use and stored flat,
+    one block per graph. Every vertex of a table row lies in one graph,
+    so a read at (u, v) is the entry ``base[u] + local[v]`` of that
+    graph's block."""
 
-    graph: Graph
+    graphs: tuple[Graph, ...]
     n: int
     indptr: np.ndarray
     indices: np.ndarray
+    graph: np.ndarray  # per vertex, the position of its graph in `graphs`
+    sizes: np.ndarray  # per graph, its number of vertices
     dtype: object  # of the counts: np.int64, or object when that could overflow
 
     @classmethod
-    def of(cls, g: Graph) -> _Host:
-        n = g.n_vertices
-        e = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    def of(cls, *graphs: Graph) -> _Host:
+        sizes = np.array([g.n_vertices for g in graphs], dtype=np.int64)
+        n = int(sizes.sum())
+        starts = (np.cumsum(sizes) - sizes).tolist()
+        e = np.concatenate(
+            [np.array(g.edges, dtype=np.int64).reshape(-1, 2) + s for g, s in zip(graphs, starts)]
+        )
         codes = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
         indptr = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
-        max_deg = int(np.diff(indptr).max()) if n else 0
-        fits = n * max_deg ** (_MAX_ORDER - 1) <= _INT64_MAX
-        return cls(g, n, indptr, codes % n, np.int64 if fits else object)
-
-    def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return adjacency_matrix(self.graph)[u, v] > 0
+        graph = np.repeat(np.arange(len(graphs)), sizes)
+        max_deg = np.zeros(len(graphs), dtype=np.int64)
+        np.maximum.at(max_deg, graph, np.diff(indptr))
+        fits = all(k * d ** (_MAX_ORDER - 1) <= _INT64_MAX for k, d in zip(sizes.tolist(), max_deg.tolist()))
+        return cls(graphs, n, indptr, codes % n, graph, sizes, np.int64 if fits else object)
 
     @cached_property
-    def common(self) -> np.ndarray:
-        """(A @ A)[u, v]: the number of common neighbours of u and v, exact
-        in float64."""
-        a = adjacency_matrix(self.graph)
-        return a @ a
+    def local(self) -> np.ndarray:
+        """Per vertex, its id in its own graph."""
+        return np.arange(self.n) - (np.cumsum(self.sizes) - self.sizes)[self.graph]
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """Per vertex u, where row u of its graph's block starts in the flat
+        blocks."""
+        squares = self.sizes**2
+        return (np.cumsum(squares) - squares)[self.graph] + self.local * self.sizes[self.graph]
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        blocks = [adjacency_matrix(g).ravel() for g in self.graphs]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # a lone graph's is not copied
+
+    @cached_property
+    def _common(self) -> np.ndarray:
+        """(A @ A)[u, v] per graph: the number of common neighbours of u and
+        v, exact in float64."""
+        common = np.empty_like(self._adjacency)
+        start = 0
+        for n in self.sizes.tolist():
+            a = self._adjacency[start:start + n * n].reshape(n, n)
+            np.matmul(a, a, out=common[start:start + n * n].reshape(n, n))
+            start += n * n
+        return common
+
+    def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self._adjacency[self.base[u] + self.local[v]] > 0
+
+    def common(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self._common[self.base[u] + self.local[v]].astype(np.int64)
 
 
 def _sum_duplicates(keys: np.ndarray, counts: np.ndarray, n: int):
@@ -197,7 +258,7 @@ def _images(keys: np.ndarray, step: _Step, host: _Host) -> np.ndarray:
     """Per row, the number of images of the vertex `step` places."""
     if len(step.anchors) == 2:
         a, b = step.anchors
-        return host.common[keys[:, a], keys[:, b]].astype(np.int64)
+        return host.common(keys[:, a], keys[:, b])
     if len(step.anchors) > 2:
         return sum(np.bincount(rows, minlength=len(keys)) for rows, _ in _extensions(keys, step, host))
     return _neighbour_lists(keys, step, host)[1]
@@ -210,9 +271,9 @@ def _place(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host):
     if width not in step.keep:
         # The new vertex is summed out at once: multiply each row's count
         # by its number of images instead of building the extended rows.
+        if not step.keep:  # the plan is finished: one row per graph holds its total
+            return keys[:0, :0], _totals(keys, counts, step, host)
         images = _images(keys, step, host)
-        if not step.keep:  # the plan is finished: one row holds the total
-            return keys[:1, :0], np.array([counts @ images], dtype=counts.dtype)
         live = images > 0
         keys, counts = keys[live][:, step.keep], counts[live] * images[live]
         return _sum_duplicates(keys, counts, host.n) if merges else (keys, counts)
@@ -233,37 +294,115 @@ def _place(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host):
     return keys, counts
 
 
-def _walk(table, depth: int, members: list[tuple[int, _Plan]], host: _Host, out: list[int]) -> None:
+def _totals(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host) -> np.ndarray:
+    """Per graph, the count of the plan that `step` finishes: each row's
+    count times its number of images, summed over the rows of that graph."""
+    if not step.anchors:  # the single vertex, placed from the empty root row
+        return counts[0] * host.sizes.astype(counts.dtype)
+    totals = np.zeros(len(host.graphs), dtype=counts.dtype)
+    np.add.at(totals, host.graph[keys[:, 0]], counts * _images(keys, step, host))
+    return totals
+
+
+def _walk(table, depth: int, members: list[tuple[int, _Plan]], host: _Host, out: list) -> None:
     """Finish every plan in `members`, all of whose first `depth` steps
-    produced `table`, writing each count to `out` at its position."""
+    produced `table`, writing its per-graph counts to `out` at its
+    position."""
     if not len(table[1]):
         return  # no partial map survives: every count below is 0
     children: dict[_Step, list[tuple[int, _Plan]]] = {}
     for pos, plan in members:
         if depth == len(plan.steps):
-            out[pos] = int(table[1].sum())
+            out[pos] = table[1]
         else:
             children.setdefault(plan.steps[depth], []).append((pos, plan))
     for step, group in children.items():
         _walk(_place(*table, step, host), depth + 1, group, host, out)
 
 
+def _count(graphs: Sequence[Graph], indices: Iterable[int]) -> list[list[int]]:
+    """Exact homomorphism counts of the catalog patterns at `indices` into
+    each of `graphs`, by one walk over their disjoint union."""
+    members = [(pos, _PLANS[i]) for pos, i in enumerate(indices)]
+    host = _Host.of(*graphs)
+    out = [np.zeros(len(graphs), dtype=host.dtype)] * len(members)
+    if host.n:
+        root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
+        _walk(root, 0, members, host, out)
+    return [list(map(int, column)) for column in zip(*out)] if out else [[] for _ in graphs]
+
+
+def _chunk_end(graphs: Sequence[Graph], start: int) -> int:
+    """The end of the chunk that opens at `graphs[start]`: the graphs from
+    there on, in order, while their summed n**2 stays within
+    `_CHUNK_SQUARES`; a graph above that is a chunk alone."""
+    total = 0
+    for end in range(start, len(graphs)):
+        total += graphs[end].n_vertices ** 2
+        if total > _CHUNK_SQUARES:
+            return max(end, start + 1)
+    return len(graphs)
+
+
+class _Batch:
+    """The graphs of one `batch`, in order, and the counts of the chunk
+    counted last, by graph identity. Graphs before `counted` belong to
+    counted chunks; those before `alone` to a chunk whose union raised,
+    and are counted one by one."""
+
+    def __init__(self, graphs: tuple[Graph, ...]):
+        self.graphs = graphs
+        self.counted = self.alone = 0
+        self.store: dict[int, list[int]] = {}
+
+    def counts(self, g: Graph) -> list[int]:
+        if id(g) in self.store:
+            return self.store[id(g)]
+        try:
+            start = self.graphs.index(g, self.counted)
+        except ValueError:  # not a graph of the batch still to count
+            return count_patterns(g, _ALL)
+        end = start + 1 if start < self.alone else _chunk_end(self.graphs, start)
+        chunk = self.graphs[start:end]
+        try:
+            counted = _count(chunk, _ALL)
+        except Exception:  # isolation: count this chunk's graphs one by one
+            if len(chunk) == 1:
+                raise
+            self.alone, end, chunk = end, start + 1, (g,)
+            counted = _count(chunk, _ALL)
+        self.store = {id(h): c for h, c in zip(chunk, counted)}
+        self.counted = end
+        return self.store[id(g)]
+
+
+_BATCH: ContextVar[_Batch | None] = ContextVar("homcount_batch", default=None)
+
+
+@contextmanager
+def batch(graphs: Iterable[Graph]) -> Iterator[None]:
+    """Within this block, `count_all_patterns` of a graph among `graphs`
+    counts the chunk that graph opens, with the graphs after it still to
+    count, and keeps those counts for them until the next chunk."""
+    token = _BATCH.set(_Batch(tuple(graphs)))
+    try:
+        yield
+    finally:
+        _BATCH.reset(token)
+
+
 def count_patterns(g: Graph, indices: Iterable[int]) -> list[int]:
     """Exact homomorphism counts into `g` of the catalog patterns at
     `indices`, in that order, sharing tables across common plan
     prefixes."""
-    members = [(pos, _PLANS[i]) for pos, i in enumerate(indices)]
-    out = [0] * len(members)
-    if g.n_vertices:
-        host = _Host.of(g)
-        root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
-        _walk(root, 0, members, host, out)
-    return out
+    return _count((g,), indices)[0]
 
 
 def count_all_patterns(g: Graph) -> list[int]:
-    """Homomorphism counts for every catalog pattern, in catalog order."""
-    return count_patterns(g, range(len(PATTERN_CATALOG)))
+    """Homomorphism counts for every catalog pattern, in catalog order.
+    Inside `batch`, read from the counts of g's chunk."""
+    current = _BATCH.get()
+    return count_patterns(g, _ALL) if current is None else current.counts(g)
 
 
 def overflows_int64(counts: list[int]) -> bool:

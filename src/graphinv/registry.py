@@ -27,7 +27,7 @@ import numpy as np
 
 from .graph import Graph, freeze
 from .invariants import OK, BlockFailure, InvariantValue
-from .invariants import basic, entropy, indices, topo
+from .invariants import basic, entropy, homcount, indices, topo
 from .invariants.transport import TransportError
 from .linalg import NumericalError
 
@@ -278,9 +278,12 @@ def fingerprint_dataset(
     graphs: Iterable[Graph], catalog: tuple[InvariantDescriptor, ...]
 ) -> FingerprintTable:
     """The one batch loop: fingerprint every graph, serially and in order,
-    through the module-level ``fingerprint``."""
+    through the module-level ``fingerprint``. The graphs form one
+    homomorphism-count batch, so a graph's counts come from one DP over
+    its chunk of the dataset's small graphs (``homcount.batch``)."""
     graphs = tuple(graphs)
-    rows = [fingerprint(g, catalog) for g in graphs]
+    with homcount.batch(graphs):
+        rows = [fingerprint(g, catalog) for g in graphs]
     values = np.concatenate([b.values for row in rows for b in row] or [np.zeros(0)])
     return FingerprintTable(
         catalog,

@@ -214,6 +214,25 @@ class TestFeaturesCommand:
         assert header[1:4] == ["agg.0.0", "agg.1.0", "agg.2.0"]
         assert "magnitude.0" in header
 
+    def test_mixed_widths_refused_before_fingerprinting(self, tmp_path, capsys, monkeypatch):
+        import graphinv.features as features
+
+        def refuse(*args):
+            raise AssertionError("fingerprinted a dataset that is refused")
+
+        monkeypatch.setattr(features, "fingerprint_dataset", refuse)
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, [
+            make_graph(2, [(0, 1)], node_features=[[1.0], [2.0]], id="a"),
+            make_graph(2, [(0, 1)], node_features=[[1.0, 0.0], [2.0, 0.0]], id="b"),
+        ])
+        outcomes = []
+        for combine in ("none", "I"):
+            code = main(["features", "--dataset", str(path), "--combine", combine,
+                         "--out", str(tmp_path / "rows.csv")])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1] == (2, "graphinv: inconsistent feature widths across dataset: [1, 2]\n")
+
 
 class TestMetaCommand:
     def test_meta_deterministic_and_smoke(self, tmp_path, rng, capsys):

@@ -1,14 +1,16 @@
 import gc
 import json
 import math
+import random
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphinv.graph import GraphDataset, make_graph
-from graphinv.invariants import BlockFailure
+from graphinv.graph import GraphDataset, make_graph, relabel
+from graphinv.invariants import BlockFailure, homcount
 from graphinv.invariants.transport import TransportError
 from graphinv.linalg import NumericalError
 from graphinv.registry import (
@@ -21,7 +23,17 @@ from graphinv.registry import (
     write_fingerprint_csv,
 )
 
-from conftest import complete_graph, cycle_graph, empty_graph, path_graph, random_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    erdos_renyi,
+    path_graph,
+    random_graph,
+    random_permutation,
+    two_triangles,
+)
+from strategies import block_graphs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -217,3 +229,98 @@ class TestFingerprintDataset:
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["forman_ricci_mean.0"] == "nan"
         assert cells["forman_ricci_mean.status"].startswith("failed")
+
+
+FULL = build_catalog(RegimeConfig())
+
+
+def blocks(table, row):
+    """(name, values, status) of every block of one table row."""
+    starts = np.cumsum([0, *(d.width for d in table.catalog)])
+    return [
+        (d.name, table.values[row, a:b], status)
+        for d, a, b, status in zip(table.catalog, starts, starts[1:], table.statuses[row])
+    ]
+
+
+def assert_rows_equal(table, rows):
+    """Row i of `table` equals the fingerprint `rows[i]`, bit for bit."""
+    assert len(table.graph_ids) == len(rows)
+    for i, row in enumerate(rows):
+        assert table.statuses[i] == tuple(b.status for b in row)
+        want = np.concatenate([b.values for b in row])
+        assert np.array_equal(table.values[i], want, equal_nan=True), table.graph_ids[i]
+
+
+class TestHomomorphismBatch:
+    """``fingerprint_dataset`` counts homomorphisms a chunk of graphs at a
+    time; every row must equal the graph fingerprinted alone."""
+
+    def dataset(self):
+        rng = random.Random(3)
+        g = erdos_renyi(7, 0.5, rng, id="g")
+        c5 = cycle_graph(5)
+        return [
+            complete_graph(1), empty_graph(4), two_triangles(), g, c5,
+            relabel(g, random_permutation(7, rng)), cycle_graph(260), c5, path_graph(6), c5,
+        ]
+
+    @pytest.mark.parametrize("cap", [120, homcount._CHUNK_SQUARES])
+    def test_rows_equal_graphs_alone(self, monkeypatch, cap):
+        # With a cap of 120 the chunks are [K1, E4, 2C3, g], [C5, g'],
+        # [C260] and [C5, P6, C5]: C5 recurs within a chunk and across two.
+        graphs = self.dataset()
+        alone = [fingerprint(g, FULL) for g in graphs]
+        monkeypatch.setattr(homcount, "_CHUNK_SQUARES", cap)
+        assert_rows_equal(fingerprint_dataset(graphs, FULL), alone)
+        assert homcount._BATCH.get() is None
+
+    def test_failure_lands_on_its_graph(self, monkeypatch):
+        # The union of a chunk reads every graph's adjacency matrix, so the
+        # poison graph makes the whole chunk raise; only its own block fails.
+        poison = two_triangles()
+        graphs = [cycle_graph(5), complete_graph(4), poison, path_graph(5), cycle_graph(6)]
+        real = homcount.adjacency_matrix
+
+        def adjacency_matrix(g):
+            if g is poison:
+                raise RuntimeError("poison")
+            return real(g)
+
+        monkeypatch.setattr(homcount, "adjacency_matrix", adjacency_matrix)
+        alone = [fingerprint(g, FULL) for g in graphs]
+        table = fingerprint_dataset(graphs, FULL)
+        assert_rows_equal(table, alone)
+        hom = [d.name for d in FULL].index("homomorphism_counts")
+        assert [row[hom] for row in table.statuses] == ["ok", "ok", "failed: RuntimeError: poison", "ok", "ok"]
+
+    def test_batch_closes_on_error(self, monkeypatch):
+        import graphinv.registry as registry
+
+        def fail_on_second(g, catalog):
+            if g.id == "C4":
+                raise KeyboardInterrupt
+            return fingerprint(g, catalog)
+
+        monkeypatch.setattr(registry, "fingerprint", fail_on_second)
+        with pytest.raises(KeyboardInterrupt):
+            fingerprint_dataset([cycle_graph(3), cycle_graph(4), cycle_graph(5)], FULL)
+        assert homcount._BATCH.get() is None
+
+
+class TestPermutationInvarianceProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_relabelling_changes_no_block(self, data):
+        # The graph and its relabelling share one batch, and so one chunk.
+        # kolmogorov_proxy compresses the edge list, which depends on labels;
+        # the absolute 1e-9 admits zero eigenvalues that come out as 1e-17.
+        g = data.draw(block_graphs(max_n=10))
+        h = relabel(g, data.draw(st.permutations(range(g.n_vertices))))
+        table = fingerprint_dataset([g, h], FULL)
+        for (name, a, status_a), (_, b, status_b) in zip(blocks(table, 0), blocks(table, 1)):
+            assert status_a == status_b, name
+            if name == "homomorphism_counts":
+                assert a.tolist() == b.tolist()
+            elif name != "kolmogorov_proxy":
+                assert np.allclose(a, b, rtol=1e-9, atol=1e-9, equal_nan=True), name

@@ -270,6 +270,22 @@ class TestHomomorphismOracleProperties:
             assert count_all_patterns(g) == want
 
     @settings(max_examples=40, deadline=None)
+    @given(st.lists(block_graphs(max_n=10), min_size=1, max_size=5))
+    def test_chunk_matches_einsum(self, graphs):
+        # One walk over the disjoint union gives each graph its own counts,
+        # in int64 and, with a tiny int64 bound, in Python integers.
+        want = [
+            [count_homomorphisms_einsum(p.n_vertices, p.edges, adjacency_matrix(g)) for p in PATTERN_CATALOG]
+            for g in graphs
+        ]
+        assert homcount._count(graphs, range(len(PATTERN_CATALOG))) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homcount, "_INT64_MAX", 1)
+            if any(g.n_edges for g in graphs):
+                assert homcount._Host.of(*graphs).dtype is object
+            assert homcount._count(graphs, range(len(PATTERN_CATALOG))) == want
+
+    @settings(max_examples=40, deadline=None)
     @given(block_graphs(max_n=5))
     def test_matches_exhaustive(self, g):
         want = [
