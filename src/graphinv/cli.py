@@ -8,6 +8,7 @@ escalated by --strict.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
@@ -37,6 +38,12 @@ EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative number in any float spelling ("-1e-6", "-inf") is an
+        # option's value; argparse's own pattern takes only "-1" and "-.5".
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf(inity)?|nan)$)", re.IGNORECASE)
+
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

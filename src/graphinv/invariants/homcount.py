@@ -31,14 +31,15 @@ about 60 placements per walk, are paid once per chunk rather than once
 per graph. The host is the disjoint union of the chunk: one CSR over
 global vertex ids, each graph's vertices consecutive. A connected
 pattern maps into one graph, so every row of a table lies in one graph
-and each plan's last placement sums its rows per graph. Inside
-``batch`` (``registry.fingerprint_dataset`` opens one),
-``count_all_patterns`` of a graph counts the chunk that graph opens: it
-and the graphs after it still to count, in order, while their summed
-n**2 stays within ``_CHUNK_SQUARES`` = 2**16. A graph with n > 256 is a
-chunk alone, as is every graph counted outside a batch. If the union
-raises, its graphs are counted one by one, so an error lands on the
-graph that causes it.
+and each plan's last placement sums its rows per graph. ``chunks`` cuts
+a dataset into chunks: consecutive graphs, in order, while their summed
+n**2 stays within ``_CHUNK_SQUARES`` = 2**16; a graph with n > 256 is a
+chunk alone. ``registry.fingerprint_dataset`` fingerprints each chunk
+inside ``counting(chunk)``: there the first ``count_all_patterns`` of a
+graph of the chunk counts the whole chunk, the others read those counts,
+and leaving the block drops them. Outside such a block a graph is
+counted alone. If the union raises, each graph of the chunk is counted
+alone, so an error lands on the graph that causes it.
 
 Memory is O(m + table) for tree patterns, whose steps all have one
 anchor; the tables of a chunk hold the rows of all its graphs. The
@@ -65,8 +66,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -332,63 +333,45 @@ def _count(graphs: Sequence[Graph], indices: Iterable[int]) -> list[list[int]]:
     return [list(map(int, column)) for column in zip(*out)] if out else [[] for _ in graphs]
 
 
-def _chunk_end(graphs: Sequence[Graph], start: int) -> int:
-    """The end of the chunk that opens at `graphs[start]`: the graphs from
-    there on, in order, while their summed n**2 stays within
-    `_CHUNK_SQUARES`; a graph above that is a chunk alone."""
+def chunks(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, ...]]:
+    """`graphs` in order, cut into the chunks whose homomorphisms are
+    counted together: consecutive graphs while their summed n**2 stays
+    within `_CHUNK_SQUARES`; a graph above that is a chunk alone."""
+    chunk: list[Graph] = []
     total = 0
-    for end in range(start, len(graphs)):
-        total += graphs[end].n_vertices ** 2
-        if total > _CHUNK_SQUARES:
-            return max(end, start + 1)
-    return len(graphs)
+    for g in graphs:
+        total += g.n_vertices**2
+        if chunk and total > _CHUNK_SQUARES:
+            yield tuple(chunk)
+            chunk, total = [], g.n_vertices**2
+        chunk.append(g)
+    if chunk:
+        yield tuple(chunk)
 
 
-class _Batch:
-    """The graphs of one `batch`, in order, and the counts of the chunk
-    counted last, by graph identity. Graphs before `counted` belong to
-    counted chunks; those before `alone` to a chunk whose union raised,
-    and are counted one by one."""
-
-    def __init__(self, graphs: tuple[Graph, ...]):
-        self.graphs = graphs
-        self.counted = self.alone = 0
-        self.store: dict[int, list[int]] = {}
-
-    def counts(self, g: Graph) -> list[int]:
-        if id(g) in self.store:
-            return self.store[id(g)]
-        try:
-            start = self.graphs.index(g, self.counted)
-        except ValueError:  # not a graph of the batch still to count
-            return count_patterns(g, _ALL)
-        end = start + 1 if start < self.alone else _chunk_end(self.graphs, start)
-        chunk = self.graphs[start:end]
-        try:
-            counted = _count(chunk, _ALL)
-        except Exception:  # isolation: count this chunk's graphs one by one
-            if len(chunk) == 1:
-                raise
-            self.alone, end, chunk = end, start + 1, (g,)
-            counted = _count(chunk, _ALL)
-        self.store = {id(h): c for h, c in zip(chunk, counted)}
-        self.counted = end
-        return self.store[id(g)]
-
-
-_BATCH: ContextVar[_Batch | None] = ContextVar("homcount_batch", default=None)
+_CHUNK: ContextVar[Callable[[], dict[int, list[int]]] | None] = ContextVar("homcount_chunk", default=None)
 
 
 @contextmanager
-def batch(graphs: Iterable[Graph]) -> Iterator[None]:
-    """Within this block, `count_all_patterns` of a graph among `graphs`
-    counts the chunk that graph opens, with the graphs after it still to
-    count, and keeps those counts for them until the next chunk."""
-    token = _BATCH.set(_Batch(tuple(graphs)))
+def counting(chunk: tuple[Graph, ...]) -> Iterator[None]:
+    """Within this block, the first `count_all_patterns` of a graph of
+    `chunk` counts the whole chunk by one DP, and the other graphs of the
+    chunk read those counts; leaving the block drops them."""
+
+    @cache
+    def counts() -> dict[int, list[int]]:
+        try:
+            return {id(g): c for g, c in zip(chunk, _count(chunk, _ALL))}
+        except Exception:  # isolation: the chunk's graphs are counted one by one
+            if len(chunk) == 1:
+                raise
+            return {}
+
+    token = _CHUNK.set(counts)
     try:
         yield
     finally:
-        _BATCH.reset(token)
+        _CHUNK.reset(token)
 
 
 def count_patterns(g: Graph, indices: Iterable[int]) -> list[int]:
@@ -400,9 +383,10 @@ def count_patterns(g: Graph, indices: Iterable[int]) -> list[int]:
 
 def count_all_patterns(g: Graph) -> list[int]:
     """Homomorphism counts for every catalog pattern, in catalog order.
-    Inside `batch`, read from the counts of g's chunk."""
-    current = _BATCH.get()
-    return count_patterns(g, _ALL) if current is None else current.counts(g)
+    Inside `counting`, read from the counts of the chunk."""
+    chunk_counts = _CHUNK.get()
+    counts = None if chunk_counts is None else chunk_counts().get(id(g))
+    return count_patterns(g, _ALL) if counts is None else counts
 
 
 def overflows_int64(counts: list[int]) -> bool:

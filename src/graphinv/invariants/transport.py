@@ -9,11 +9,11 @@ cost order and each closes exactly one row or column, so the m + n - 1
 basic cells form a spanning tree of the row and column nodes. Rows and
 columns are first put in descending order of cost sum, ties by index, so
 that among equal costs the ones with the fewest cheap cells are served
-first; with that order the start is almost always optimal. The tree is
-kept across pivots: a pivot swaps the leaving cell for the entering one and
-re-hangs only the subtree the leaving cell cut off, with its dual
-potentials. Dantzig pivoting is used first and Bland's rule takes over if
-an instance ever threatens to cycle.
+first; with that order the start is almost always optimal. Pivots follow
+Bland's rule: the first cell in row-major order of negative reduced cost
+enters, and of the tree cells that could leave, the one of least index
+leaves, so the simplex cannot cycle. After each pivot the tree and its
+dual potentials are rebuilt from the basis.
 
 Masses, costs, flows and potentials are Python ints (which may pass int64),
 so every reduced cost and mass update is exact and so is the optimum.
@@ -55,37 +55,40 @@ def _least_cost_start(a: list[int], b: list[int], order: list[int], n: int) -> d
     return flow
 
 
-def _hang(adj, cf, m, n, pot, parent, depth, node: int, via: int) -> None:
-    """Hang the subtree reached from `via` through `node`, setting each of
-    its nodes' parent, depth and potential so that cost = u_i + v_j on every
-    tree edge. Rows are nodes 0..m-1, column j is node m + j."""
-    parent[node] = via
-    stack = [node]
+def _tree(flow: dict[int, int], cf: list[int], m: int, n: int):
+    """Parent, depth and dual potential of every node of the tree of the
+    basic cells in `flow`, hung from row 0 with potential 0, so that
+    cost = u_i + v_j on every tree edge. Rows are nodes 0..m-1, column j
+    is node m + j."""
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for cell in flow:
+        i, j = divmod(cell, n)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0] * (m + n)
+    stack = [0]
     while stack:
         x = stack.pop()
-        p = parent[x]
-        depth[x] = depth[p] + 1
-        pot[x] = (cf[x * n + p - m] if x < m else cf[p * n + x - m]) - pot[p]
         for y in adj[x]:
-            if y != p:
-                parent[y] = x
+            if y != parent[x]:
+                parent[y], depth[y] = x, depth[x] + 1
+                pot[y] = (cf[y * n + x - m] if y < m else cf[x * n + y - m]) - pot[x]
                 stack.append(y)
+    return parent, depth, pot
 
 
-def _dantzig(cf: list[int], pot: list[int], flow: dict[int, int], m: int, n: int) -> int:
-    """First non-basic cell, in row-major order, of the most negative reduced
-    cost, or -1."""
-    entering, best = -1, 0
+def _bland(cf: list[int], pot: list[int], flow: dict[int, int], m: int, n: int) -> int:
+    """First non-basic cell, in row-major order, of negative reduced cost,
+    or -1."""
     cols = pot[m:]
     k = 0
     for i in range(m):
         u = pot[i]
         for v in cols:
-            r = cf[k] - u - v
-            if r < best and k not in flow:
-                entering, best = k, r
+            if cf[k] - u - v < 0 and k not in flow:
+                return k
             k += 1
-    return entering
+    return -1
 
 
 def wasserstein_1(mu, nu, cost) -> int:
@@ -118,23 +121,9 @@ def wasserstein_1(mu, nu, cost) -> int:
     a, b = [a[i] for i in rows], [b[j] for j in cols]
     cf = [cf[i * n + j] for i in rows for j in cols]
     flow = _least_cost_start(a, b, sorted(range(m * n), key=cf.__getitem__), n)
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for cell in flow:
-        i, j = divmod(cell, n)
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    pot, parent, depth = [0] * (m + n), [-1] * (m + n), [0] * (m + n)
-    for y in adj[0]:
-        _hang(adj, cf, m, n, pot, parent, depth, y, 0)
-
-    max_iter = 200 * (m + n)
-    bland_after = max_iter // 2
-    for iteration in range(max_iter):
-        if iteration >= bland_after:  # Bland: first negative cell in row-major order
-            entering = next((k for k in range(m * n) if k not in flow
-                             and cf[k] - pot[k // n] - pot[m + k % n] < 0), -1)
-        else:
-            entering = _dantzig(cf, pot, flow, m, n)
+    for _ in range(200 * (m + n)):
+        parent, depth, pot = _tree(flow, cf, m, n)
+        entering = _bland(cf, pot, flow, m, n)
         if entering < 0:
             break
         i0, j0 = divmod(entering, n)
@@ -151,21 +140,12 @@ def wasserstein_1(mu, nu, cost) -> int:
                 up_row.append(y)
                 y = parent[y]
         cells = [x * n + parent[x] - m if x < m else parent[x] * n + x - m for x in up_col + up_row[::-1]]
-        k = min(range(0, len(cells), 2), key=lambda s: flow[cells[s]])  # first of the least
+        k = min(range(0, len(cells), 2), key=lambda s: (flow[cells[s]], cells[s]))
         theta = flow[cells[k]]
         for s, cell in enumerate(cells):
             flow[cell] += theta if s % 2 else -theta
         del flow[cells[k]]
         flow[entering] = theta
-        li, lj = divmod(cells[k], n)
-        adj[li].remove(m + lj)
-        adj[m + lj].remove(li)
-        adj[i0].append(m + j0)
-        adj[m + j0].append(i0)
-        # The subtree the leaving cell cut off holds column j0 exactly when
-        # the leaving cell lies on the column's side of the cycle.
-        inside, outside = (m + j0, i0) if k < len(up_col) else (i0, m + j0)
-        _hang(adj, cf, m, n, pot, parent, depth, inside, outside)
     else:
         raise TransportError(f"transportation simplex did not terminate ({m}x{n})")
 

@@ -278,12 +278,15 @@ def fingerprint_dataset(
     graphs: Iterable[Graph], catalog: tuple[InvariantDescriptor, ...]
 ) -> FingerprintTable:
     """The one batch loop: fingerprint every graph, serially and in order,
-    through the module-level ``fingerprint``. The graphs form one
-    homomorphism-count batch, so a graph's counts come from one DP over
-    its chunk of the dataset's small graphs (``homcount.batch``)."""
+    through the module-level ``fingerprint``, a homomorphism chunk
+    (``homcount.chunks``) at a time. Inside its chunk's
+    ``homcount.counting`` block, the graph that first needs homomorphism
+    counts pays for one DP over the whole chunk, and the others read them."""
     graphs = tuple(graphs)
-    with homcount.batch(graphs):
-        rows = [fingerprint(g, catalog) for g in graphs]
+    rows = []
+    for chunk in homcount.chunks(graphs):
+        with homcount.counting(chunk):
+            rows += [fingerprint(g, catalog) for g in chunk]
     values = np.concatenate([b.values for row in rows for b in row] or [np.zeros(0)])
     return FingerprintTable(
         catalog,

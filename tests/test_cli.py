@@ -102,10 +102,11 @@ class TestExitCodes:
                 "left": graph_to_obj(cycle_graph(3)), "right": graph_to_obj(cycle_graph(4))}
         path = tmp_path / "pairs.jsonl"
         path.write_text(json.dumps(pair) + "\n")
-        assert main(["expressivity", "--pairs", str(path), f"--tol={tol}"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.strip().splitlines() == [f"graphinv: tolerance must be positive and finite, got {float(tol)}"]
+        for flag in ([f"--tol={tol}"], ["--tol", tol]):  # "-1e-6" and "-inf" read as values, not options
+            assert main(["expressivity", "--pairs", str(path), *flag]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.strip().splitlines() == [f"graphinv: tolerance must be positive and finite, got {float(tol)}"]
 
     @pytest.mark.parametrize("command, flag", [("fingerprint", "--dataset"), ("expressivity", "--pairs")])
     @pytest.mark.parametrize("line", ["[1, 2]", "null"])

@@ -273,7 +273,35 @@ class TestHomomorphismBatch:
         alone = [fingerprint(g, FULL) for g in graphs]
         monkeypatch.setattr(homcount, "_CHUNK_SQUARES", cap)
         assert_rows_equal(fingerprint_dataset(graphs, FULL), alone)
-        assert homcount._BATCH.get() is None
+        assert homcount._CHUNK.get() is None
+
+    @pytest.mark.parametrize("shape", [
+        [],
+        [["K1", "C5", "K1"]],
+        [["E128", "E128", "E128", "E128"], ["K1"]],  # 4 * 128**2 == 2**16
+        [["E257"], ["K1", "C5"]],
+        [["K1"], ["E257"], ["C5", "C5"]],
+    ])
+    def test_chunks(self, shape):
+        # The same object stands for a name wherever it recurs.
+        named = {
+            "K1": complete_graph(1), "C5": cycle_graph(5), "E128": empty_graph(128), "E257": empty_graph(257),
+        }
+        want = [tuple(named[x] for x in chunk) for chunk in shape]
+        got = list(homcount.chunks(g for chunk in want for g in chunk))
+        assert [list(map(id, c)) for c in got] == [list(map(id, c)) for c in want]
+
+    def test_one_dp_per_chunk(self, monkeypatch):
+        calls = []
+        real = homcount._count
+
+        def count(graphs, indices):
+            calls.append(len(graphs))
+            return real(graphs, indices)
+
+        monkeypatch.setattr(homcount, "_count", count)
+        fingerprint_dataset([cycle_graph(5), path_graph(4), cycle_graph(260), complete_graph(4)], FULL)
+        assert calls == [2, 1, 1]
 
     def test_failure_lands_on_its_graph(self, monkeypatch):
         # The union of a chunk reads every graph's adjacency matrix, so the
@@ -305,7 +333,7 @@ class TestHomomorphismBatch:
         monkeypatch.setattr(registry, "fingerprint", fail_on_second)
         with pytest.raises(KeyboardInterrupt):
             fingerprint_dataset([cycle_graph(3), cycle_graph(4), cycle_graph(5)], FULL)
-        assert homcount._BATCH.get() is None
+        assert homcount._CHUNK.get() is None
 
 
 class TestPermutationInvarianceProperty:
