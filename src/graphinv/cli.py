@@ -40,9 +40,10 @@ EXIT_NUMERICAL = 3
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # A negative number in any float spelling ("-1e-6", "-inf") is an
-        # option's value; argparse's own pattern takes only "-1" and "-.5".
-        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf(inity)?|nan)$)", re.IGNORECASE)
+        # A negative number in any float spelling ("-1e-6", "-inf"), alone
+        # or first in a comma list, is an option's value; argparse's own
+        # pattern takes only "-1" and "-.5".
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf(inity)?|nan)(,|$))", re.IGNORECASE)
 
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
         self.print_usage(sys.stderr)
@@ -188,8 +189,11 @@ def _cmd_meta(args) -> int:
     config = _config_from_args(args)
     catalog = build_catalog(config)
     datasets = [load_jsonl(p) for p in args.datasets]
-    if args.labels:
+    if args.labels is not None:
         wanted = [x.strip() for x in args.labels.split(",") if x.strip()]
+        if not wanted:
+            print(f"--labels {args.labels!r} names no dataset", file=sys.stderr)
+            return EXIT_DATA
         by_name = {ds.name: ds for ds in datasets}
         missing = [w for w in wanted if w not in by_name]
         if missing:

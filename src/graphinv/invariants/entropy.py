@@ -1,15 +1,7 @@
-"""Entropy-flavoured invariants: degree entropy, von Neumann entropy, and
-a compressed-edge-list complexity proxy.
-
-The complexity proxy is bit-deterministic: edges are canonically ordered,
-serialized as little-endian uint32 pairs, and compressed as a raw DEFLATE
-stream at level 6. Note it is invariant to edge *input order* but not to
-vertex relabeling (the byte stream encodes vertex ids as given).
-"""
+"""Entropy-flavoured invariants: the entropy of the degree histogram and
+the von Neumann entropy of the normalized-Laplacian spectrum."""
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 
@@ -45,12 +37,3 @@ def von_neumann_entropy(g: Graph) -> float:
     p = np.clip(normalized_laplacian_spectrum(g)[1:], 0.0, None) / n
     nz = p[p > 0]
     return -float(np.sum(nz * np.log(nz)))
-
-
-def kolmogorov_proxy(g: Graph) -> int:
-    """Byte length of the DEFLATE-compressed canonical edge list."""
-    pairs = np.asarray(sorted(g.edges), dtype="<u4")
-    payload = pairs.tobytes() if pairs.size else b""
-    comp = zlib.compressobj(level=6, wbits=-15)  # raw deflate, no container
-    blob = comp.compress(payload) + comp.flush()
-    return len(blob)

@@ -31,7 +31,7 @@ from .invariants import basic, entropy, homcount, indices, topo
 from .invariants.transport import TransportError
 from .linalg import NumericalError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 REGIMES = ("full", "reduced")
 SUBSETS = ("I", "S")
@@ -86,6 +86,8 @@ class RegimeConfig:
             raise ConfigError(f"torsion_dim must be >= 0, got {self.torsion_dim}")
         if self.spectrum_k < 1:
             raise ConfigError(f"spectrum_k must be >= 1, got {self.spectrum_k}")
+        if not np.isfinite(self.randic_exponents).all():
+            raise ConfigError(f"randic_exponents must be finite, got {self.randic_exponents}")
 
     def with_overrides(self, **overrides) -> "RegimeConfig":
         known = set(self.__dataclass_fields__)
@@ -153,7 +155,6 @@ def _master_catalog(config: RegimeConfig) -> list[InvariantDescriptor]:
         block("degree_mean_ratio", basic.degree_mean_ratio),
         block("degree_entropy", entropy.degree_entropy),
         block("von_neumann_entropy", entropy.von_neumann_entropy),
-        block("kolmogorov_proxy", entropy.kolmogorov_proxy),
         block("magnitude", lambda g: topo.magnitude(g, config.q)),
     ]
     if full:

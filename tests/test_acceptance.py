@@ -166,8 +166,6 @@ def test_c3_permutation_invariance(rng):
                 h = relabel(g, random_permutation(g.n_vertices, rng))
                 other = fingerprint(h, catalog)
                 for d, a, b in zip(catalog, base, other):
-                    if d.name == "kolmogorov_proxy":  # documented caveat
-                        continue
                     assert a.status == b.status, d.name
                     if a.ok:
                         # relative with absolute floor 1, the artifact's

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from graphinv.cli import main
-from graphinv.graph import graph_to_obj, make_graph
+from graphinv.graph import graph_to_obj, make_graph, relabel
 
-from conftest import cycle_graph, erdos_renyi, two_triangles
+from conftest import cycle_graph, erdos_renyi, random_permutation, two_triangles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,6 +45,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["list-invariants", flag, value])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("value", ["nan,inf", "1,-inf", "-inf,1", "0.5,nan"])
+    def test_non_finite_randic_exponent_is_data_error(self, dataset_path, tmp_path, capsys, value):
+        out = tmp_path / "o.csv"
+        code = main([
+            "fingerprint", "--regime", "reduced", "--randic-exponents", value,
+            "--dataset", str(dataset_path), "--out", str(out),
+        ])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["fingerprint", "--dataset", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.csv")])
@@ -192,6 +203,19 @@ class TestExpressivityCommand:
         assert len(payload["greedy_subset"]) == 1
         assert heatmap.read_text().startswith("invariant,p0")
 
+    @pytest.mark.parametrize("regime", ["full", "reduced"])
+    def test_relabelled_copies_not_differentiated(self, tmp_path, capsys, rng, regime):
+        pairs = tmp_path / "pairs.jsonl"
+        with open(pairs, "w") as fh:
+            for i in range(6):
+                g = erdos_renyi(rng.randint(5, 10), 0.4, rng)
+                h = relabel(g, random_permutation(g.n_vertices, rng))
+                record = {"pair_id": f"p{i}", "category": "Iso", "left": graph_to_obj(g), "right": graph_to_obj(h)}
+                fh.write(json.dumps(record) + "\n")
+        assert main(["expressivity", "--regime", regime, "--pairs", str(pairs)]) == 0
+        out = capsys.readouterr().out
+        assert "Iso: 0/6" in out and "Total: 0/6" in out
+
     def test_override_flags_reach_config(self, tmp_path, capsys):
         assert main(["list-invariants", "--spectrum-k", "2"]) == 0
         out = capsys.readouterr().out
@@ -290,6 +314,15 @@ class TestMetaCommand:
         write_dataset(d1, [erdos_renyi(6, 0.5, rng, id="x0")])
         code = main(["meta", "--datasets", str(d1), "--labels", "zzz", "--out", str(tmp_path / "m.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("labels", [",", " , ", ""])
+    def test_label_filter_naming_no_dataset_is_data_error(self, tmp_path, rng, capsys, labels):
+        d1 = tmp_path / "a.jsonl"
+        write_dataset(d1, [erdos_renyi(6, 0.5, rng, id="x0")])
+        code = main(["meta", "--datasets", str(d1), "--labels", labels, "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestOneFingerprintTable:

@@ -1,19 +1,16 @@
 import math
-import zlib
 
 import pytest
 
-from graphinv.graph import make_graph, relabel
-from graphinv.invariants.entropy import degree_entropy, kolmogorov_proxy, von_neumann_entropy
+from graphinv.graph import make_graph
+from graphinv.invariants.entropy import degree_entropy, von_neumann_entropy
 
 from conftest import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    erdos_renyi,
     path_graph,
     random_graph,
-    random_permutation,
     star_graph,
 )
 
@@ -64,34 +61,3 @@ class TestVonNeumannEntropy:
             g = random_graph(rng, max_n=10)
             assert val(von_neumann_entropy(g)) >= -1e-12
 
-
-class TestKolmogorovProxy:
-    def test_deterministic(self):
-        g = cycle_graph(10)
-        assert val(kolmogorov_proxy(g)) == val(kolmogorov_proxy(g))
-
-    def test_edge_input_order_invariant(self):
-        a = make_graph(3, [(0, 1), (1, 2)])
-        b = make_graph(3, [(2, 1), (0, 1)])
-        assert val(kolmogorov_proxy(a)) == val(kolmogorov_proxy(b))
-
-    def test_cycle_compresses_below_random(self, rng):
-        cycle = cycle_graph(100)
-        er = None
-        # fixed-seed search for an Erdos-Renyi graph with exactly 100 edges
-        while er is None or er.n_edges != 100:
-            er = erdos_renyi(100, 100 / (100 * 99 / 2), rng)
-        assert val(kolmogorov_proxy(cycle)) < val(kolmogorov_proxy(er))
-
-    def test_empty_edge_set_matches_deflate_of_empty(self):
-        comp = zlib.compressobj(level=6, wbits=-15)
-        expected = len(comp.compress(b"") + comp.flush())
-        assert val(kolmogorov_proxy(empty_graph(4))) == expected
-
-    def test_relabeling_sensitivity_documented(self):
-        # NOT relabeling-invariant by construction: the bytes encode labels.
-        g = path_graph(40)
-        perm = list(reversed(range(40)))
-        h = relabel(g, perm)
-        assert val(kolmogorov_proxy(g)) >= 1  # both defined; values may differ
-        assert val(kolmogorov_proxy(h)) >= 1

@@ -144,14 +144,14 @@ class TestScorePairs:
         assert not report.pair_differentiated()[0]
 
     def test_relabeled_graphs_not_differentiated(self, rng):
-        # permutation invariance composed through fingerprints (minus the
-        # documented compression-proxy caveat, excluded via the S subset)
-        cat = build_catalog(RegimeConfig(subset="S"))
-        for _ in range(5):
-            g = random_graph(rng, min_n=4, max_n=9)
-            h = relabel(g, random_permutation(g.n_vertices, rng))
-            report = score_pairs([GraphPair(g, h, "Iso", "p")], cat)
-            assert not report.pair_differentiated()[0]
+        # permutation invariance composed through fingerprints
+        for regime in ("full", "reduced"):
+            cat = build_catalog(RegimeConfig(regime=regime))
+            for _ in range(5):
+                g = random_graph(rng, min_n=4, max_n=9)
+                h = relabel(g, random_permutation(g.n_vertices, rng))
+                report = score_pairs([GraphPair(g, h, "Iso", "p")], cat)
+                assert not report.pair_differentiated()[0], regime
 
     def test_symmetry(self, rng):
         cat = build_catalog(RegimeConfig(subset="S"))

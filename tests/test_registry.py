@@ -52,6 +52,13 @@ class TestRegimeConfig:
         with pytest.raises(ConfigError):
             RegimeConfig(regime="medium")
 
+    @pytest.mark.parametrize("exponents", [(float("nan"),), (1.0, float("inf")), (float("-inf"),)])
+    def test_non_finite_randic_exponent(self, exponents):
+        with pytest.raises(ConfigError, match="randic_exponents must be finite"):
+            RegimeConfig(randic_exponents=exponents)
+        with pytest.raises(ConfigError, match="randic_exponents must be finite"):
+            RegimeConfig().with_overrides(randic_exponents=exponents)
+
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError, match="unknown override"):
             RegimeConfig().with_overrides(qq=0.5)
@@ -216,7 +223,7 @@ class TestFingerprintDataset:
         path = tmp_path / "fp.csv"
         write_fingerprint_csv(fingerprint_dataset(ds, cat), path, config)
         sidecar = json.loads((tmp_path / "fp.csv.meta.json").read_text())
-        assert sidecar["schema_version"] == "1"
+        assert sidecar["schema_version"] == "2"
         assert sidecar["config"]["subset"] == "S"
         assert sidecar["n_rows"] == 3
 
@@ -232,6 +239,7 @@ class TestFingerprintDataset:
 
 
 FULL = build_catalog(RegimeConfig())
+REDUCED = build_catalog(RegimeConfig(regime="reduced"))
 
 
 def blocks(table, row):
@@ -341,14 +349,15 @@ class TestPermutationInvarianceProperty:
     @given(st.data())
     def test_relabelling_changes_no_block(self, data):
         # The graph and its relabelling share one batch, and so one chunk.
-        # kolmogorov_proxy compresses the edge list, which depends on labels;
-        # the absolute 1e-9 admits zero eigenvalues that come out as 1e-17.
+        # The absolute 1e-9 admits zero eigenvalues that come out as 1e-17.
+        # Only the reduced catalog has spanning_tree_count_log.
         g = data.draw(block_graphs(max_n=10))
         h = relabel(g, data.draw(st.permutations(range(g.n_vertices))))
-        table = fingerprint_dataset([g, h], FULL)
-        for (name, a, status_a), (_, b, status_b) in zip(blocks(table, 0), blocks(table, 1)):
-            assert status_a == status_b, name
-            if name == "homomorphism_counts":
-                assert a.tolist() == b.tolist()
-            elif name != "kolmogorov_proxy":
-                assert np.allclose(a, b, rtol=1e-9, atol=1e-9, equal_nan=True), name
+        for catalog in (FULL, REDUCED):
+            table = fingerprint_dataset([g, h], catalog)
+            for (name, a, status_a), (_, b, status_b) in zip(blocks(table, 0), blocks(table, 1)):
+                assert status_a == status_b, name
+                if name == "homomorphism_counts":
+                    assert a.tolist() == b.tolist()
+                else:
+                    assert np.allclose(a, b, rtol=1e-9, atol=1e-9, equal_nan=True), name
