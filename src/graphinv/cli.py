@@ -55,9 +55,10 @@ def comma_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x)
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_config_flags(p: argparse.ArgumentParser, subset: bool = True):
     p.add_argument("--regime", choices=("full", "reduced"), default="full")
-    p.add_argument("--subset", choices=("I", "S"), default="I")
+    if subset:
+        p.add_argument("--subset", choices=("I", "S"), default="I")
     p.add_argument("--q", type=float, default=None, help="magnitude scale in (0,1)")
     p.add_argument("--alpha", type=float, default=None, help="lazy-walk laziness in [0,1)")
     p.add_argument("--torsion-dim", type=int, default=None, help="clique-complex dimension cap")
@@ -73,9 +74,12 @@ def _add_config_flags(p: argparse.ArgumentParser):
 _OVERRIDES = ("q", "alpha", "torsion_dim", "spectrum_k", "randic_exponents", "hom_log1p")
 
 
-def _config_from_args(args) -> RegimeConfig:
+def _config_from_args(args, subset: str) -> RegimeConfig:
     overrides = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
-    return RegimeConfig(regime=args.regime, subset=args.subset).with_overrides(**overrides)
+    return RegimeConfig(regime=args.regime, subset=subset, **overrides)
+
+
+_STRICT_HELP = "exit 3 when any invariant block fails"
 
 
 def build_parser() -> _Parser:
@@ -85,11 +89,7 @@ def build_parser() -> _Parser:
         "--threads", type=int, default=1,
         help="accepted and ignored: every command runs serially",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit 3 when any invariant block fails",
-    )
+    parser.add_argument("--seed", type=int, default=0, help="sampling seed; only meta reads it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list-invariants", help="print the catalog for a regime/subset")
@@ -99,6 +99,7 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--strict", action="store_true", help=_STRICT_HELP)
 
     p = sub.add_parser("expressivity", help="score non-isomorphic pair differentiation")
     _add_config_flags(p)
@@ -112,7 +113,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heatmap", default=None, help="write the difference heatmap CSV here")
 
     p = sub.add_parser("features", help="export feature rows (optionally with invariants)")
-    _add_config_flags(p)
+    _add_config_flags(p, subset=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--mode", choices=("sum", "agg"), default="sum")
     p.add_argument("--hops", type=int, default=3)
@@ -124,24 +125,24 @@ def build_parser() -> _Parser:
     p.add_argument("--datasets", nargs="+", required=True)
     p.add_argument("--sample", type=int, default=DEFAULT_SAMPLE_SIZE)
     p.add_argument("--test-frac", type=float, default=DEFAULT_TEST_FRACTION)
-    p.add_argument("--labels", default=None, help="comma-separated dataset-name filter")
     p.add_argument("--out", required=True)
     p.add_argument(
         "--smoke-accuracy", action="store_true",
         help="print nearest-centroid separability of the exported table",
     )
+    p.add_argument("--strict", action="store_true", help=_STRICT_HELP)
     return parser
 
 
 def _cmd_list_invariants(args) -> int:
-    catalog = build_catalog(_config_from_args(args))
+    catalog = build_catalog(_config_from_args(args, args.subset))
     for d in catalog:
         print(f"{d.name} {d.width}")
     return EXIT_OK
 
 
 def _cmd_fingerprint(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.subset)
     catalog = build_catalog(config)
     ds = load_jsonl(args.dataset)
     table = fingerprint_dataset(ds, catalog)
@@ -155,12 +156,9 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_expressivity(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.subset)
     catalog = build_catalog(config)
     pairs = load_pairs(args.pairs)
-    if not pairs:
-        print("no pairs found", file=sys.stderr)
-        return EXIT_DATA
     mode = "absolute" if args.absolute else "relative"
     report = score_pairs(pairs, catalog, tol=args.tol, mode=mode)
     for cat, stats in report.category_stats().items():
@@ -176,9 +174,10 @@ def _cmd_expressivity(args) -> int:
 
 def _cmd_features(args) -> int:
     fconfig = FeatureConfig(mode=args.mode, hops=args.hops)
-    catalog = None
-    if args.combine != "none":
-        catalog = build_catalog(_config_from_args(args).with_overrides(subset=args.combine))
+    # --combine picks the subset; under "none" the config is still built, so
+    # a bad config flag is a data error there too.
+    config = _config_from_args(args, "I" if args.combine == "none" else args.combine)
+    catalog = None if args.combine == "none" else build_catalog(config)
     ds = load_jsonl(args.dataset)
     write_features_csv(ds, fconfig, catalog, args.out)
     print(f"wrote {len(ds)} feature rows to {args.out}")
@@ -186,20 +185,9 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_meta(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.subset)
     catalog = build_catalog(config)
     datasets = [load_jsonl(p) for p in args.datasets]
-    if args.labels is not None:
-        wanted = [x.strip() for x in args.labels.split(",") if x.strip()]
-        if not wanted:
-            print(f"--labels {args.labels!r} names no dataset", file=sys.stderr)
-            return EXIT_DATA
-        by_name = {ds.name: ds for ds in datasets}
-        missing = [w for w in wanted if w not in by_name]
-        if missing:
-            print(f"unknown dataset labels: {missing}", file=sys.stderr)
-            return EXIT_DATA
-        datasets = [by_name[w] for w in wanted]
     table = assemble_meta_table(
         datasets, catalog,
         sample_size=args.sample, test_fraction=args.test_frac,

@@ -47,22 +47,16 @@ def build_x_init(g: Graph) -> np.ndarray:
     return np.concatenate([x, summed], axis=1)
 
 
-def feature_sum(g: Graph) -> np.ndarray:
-    """Column sum of X_init over nodes (zero vector for empty graphs)."""
-    x = build_x_init(g)
-    return x.sum(axis=0)
-
-
 def feature_agg(g: Graph, hops: int = DEFAULT_HOPS) -> np.ndarray:
-    """Concatenated column sums of A^i X_init for i = 0..hops."""
-    if hops < 1:
-        raise ValueError(f"hops must be >= 1, got {hops}")
+    """Concatenated column sums of A^i X_init for i = 0..hops; hops = 0
+    gives the plain feature sum (a zero vector for an empty graph)."""
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
     x = build_x_init(g)
-    a = adjacency_matrix(g)
     blocks = [x.sum(axis=0)]
     current = x
     for _ in range(hops):
-        current = a @ current
+        current = adjacency_matrix(g) @ current
         blocks.append(current.sum(axis=0))
     return np.concatenate(blocks)
 
@@ -91,7 +85,8 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
     if len(edge_dims) == 1:
         no_edges = np.zeros((0, *edge_dims))
         featured = [g if g.n_edges else replace(g, edge_features=no_edges) for g in dataset]
-    vecs = [feature_sum(g) if config.mode == "sum" else feature_agg(g, config.hops) for g in featured]
+    hops = config.hops if config.mode == "agg" else 0
+    vecs = [feature_agg(g, hops) for g in featured]
     dims = {vec.shape[0] for vec in vecs}
     if len(dims) > 1:
         raise ValueError(f"inconsistent feature widths across dataset: {sorted(dims)}")
@@ -99,8 +94,7 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
 
     header: list[str] = ["graph_id"]
     if vecs:
-        n_blocks = config.hops + 1 if config.mode == "agg" else 1
-        dim = next(iter(dims)) // n_blocks
+        dim = next(iter(dims)) // (hops + 1)
         header += feature_columns(config, dim)
     if fingerprints is not None:
         header += fingerprints.value_columns() + fingerprints.status_columns()

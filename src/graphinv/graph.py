@@ -229,9 +229,11 @@ def graph_to_obj(g: Graph) -> dict:
 # ---------------------------------------------------------------------------
 # Adjacency and traversal (held for one graph at a time; results are read-only)
 
-#: The cache of every function of one graph, keyed by its identity. Each
-#: command finishes a graph before it starts the next, so one slot gets
-#: every hit that more slots would, and holds one graph's matrices only.
+#: The cache of every function of one graph, keyed by its identity. One
+#: slot holds one graph's matrices only. The commands fingerprint one graph
+#: after another, except that the first graph of a homomorphism-count chunk
+#: reads the adjacency matrix of every graph of the chunk (``homcount``), so
+#: each graph of a chunk builds its adjacency matrix twice.
 per_graph = functools.lru_cache(maxsize=1)
 
 

@@ -47,9 +47,11 @@ first step with two or more anchors reads each graph's n x n adjacency
 matrix (``graph.adjacency_matrix``) and the first two-anchor sum-out
 computes its A @ A, both stored flat per chunk: at most 2**16 entries
 each for a chunk of several graphs, n**2 for a large graph alone, which
-pays one n**3 product and O(n**2) memory on top. The full regime
-already holds n x n matrices of every graph (distances, Laplacians);
-a large sparse host counted on its own pays for them here.
+pays one n**3 product and O(n**2) memory on top. The full regime builds
+n x n matrices of each graph anyway (distances, Laplacians). The
+per-graph cache holds one graph, so the first graph's count leaves the
+chunk's last adjacency matrix there: the first graph's own blocks and
+every later graph of the chunk build theirs again.
 
 Counts are exact. Every partial table counts maps of a connected
 pattern with at most five vertices into one graph, so no entry or sum

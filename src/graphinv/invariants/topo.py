@@ -20,6 +20,7 @@ from ..linalg import (
 )
 from . import BlockFailure
 from .homcount import count_all_patterns, overflows_int64
+from .patterns import PATTERN_CATALOG
 from .simplicial import clique_complex
 from .transport import wasserstein_1
 
@@ -28,7 +29,7 @@ DEFAULT_LAZINESS = 0.5
 DEFAULT_TORSION_DIM = 2
 POWER_TRACE_EXPONENTS = (4, 8)
 
-N_PATTERNS = 31
+N_PATTERNS = len(PATTERN_CATALOG)
 
 
 def magnitude(g: Graph, q: float = DEFAULT_MAGNITUDE_Q) -> float:

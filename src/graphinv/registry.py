@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable
@@ -88,13 +88,6 @@ class RegimeConfig:
             raise ConfigError(f"spectrum_k must be >= 1, got {self.spectrum_k}")
         if not np.isfinite(self.randic_exponents).all():
             raise ConfigError(f"randic_exponents must be finite, got {self.randic_exponents}")
-
-    def with_overrides(self, **overrides) -> "RegimeConfig":
-        known = set(self.__dataclass_fields__)
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(f"unknown override keys: {sorted(unknown)}")
-        return replace(self, **overrides)
 
 
 @dataclass(frozen=True)

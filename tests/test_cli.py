@@ -1,6 +1,9 @@
 import csv
+import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphinv.cli import main
+from graphinv.cli import build_parser, main
 from graphinv.graph import graph_to_obj, make_graph, relabel
 
 from conftest import cycle_graph, erdos_renyi, random_permutation, two_triangles
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -134,10 +138,23 @@ class TestExitCodes:
         path.write_text('{"id": "edgeless", "num_nodes": 3, "edges": []}\n')
         out = str(tmp_path / "o.csv")
         assert main(["fingerprint", "--dataset", str(path), "--out", out]) == 0
-        assert main(["--strict", "fingerprint", "--dataset", str(path), "--out", out]) == 3
+        assert main(["fingerprint", "--strict", "--dataset", str(path), "--out", out]) == 3
 
     def test_success(self, dataset_path, tmp_path):
         assert main(["fingerprint", "--dataset", str(dataset_path), "--out", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["meta", "--datasets", "a.jsonl", "--labels", "x", "--out", "m.csv"],
+        ["features", "--dataset", "d.jsonl", "--subset", "S", "--out", "r.csv"],
+        ["expressivity", "--strict", "--pairs", "p.jsonl"],
+        ["--strict", "fingerprint", "--dataset", "d.jsonl", "--out", "o.csv"],
+    ])
+    def test_option_off_its_command_is_usage_error(self, argv):
+        # --combine picks the features subset; --strict belongs to the two
+        # commands that escalate; meta takes every dataset it is given.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 class TestEdgeCaseGolden:
@@ -226,6 +243,13 @@ class TestExpressivityCommand:
         pairs.write_text("")
         assert main(["expressivity", "--pairs", str(pairs), "--q", "2.0"]) == 2
 
+    def test_no_pairs_is_data_error(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("")
+        assert main(["expressivity", "--pairs", str(pairs)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "graphinv: no pairs to score\n"
+
 
 class TestFeaturesCommand:
     def test_rows_csv(self, dataset_path, tmp_path):
@@ -258,6 +282,14 @@ class TestFeaturesCommand:
             outcomes.append((code, capsys.readouterr().err))
         assert outcomes[0] == outcomes[1] == (2, "graphinv: inconsistent feature widths across dataset: [1, 2]\n")
 
+    def test_bad_config_flag_without_combine_is_data_error(self, dataset_path, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = main(["features", "--dataset", str(dataset_path), "--combine", "none", "--q", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestMetaCommand:
     def test_meta_deterministic_and_smoke(self, tmp_path, rng, capsys):
@@ -279,14 +311,14 @@ class TestMetaCommand:
         assert outs[0] == outs[1]
         assert "nearest-centroid accuracy" in capsys.readouterr().out
 
-    def _edgeless_meta(self, tmp_path, sizes):
+    def _edgeless_meta(self, tmp_path, sizes, *flags):
         paths = []
         for name, n in zip("ab", sizes):
             paths.append(tmp_path / f"{name}.jsonl")
             write_dataset(paths[-1], [make_graph(n, [], id=f"{name}{i}") for i in range(6)])
         return main([
             "meta", "--datasets", *map(str, paths), "--regime", "reduced",
-            "--sample", "6", "--out", str(tmp_path / "m.csv"), "--smoke-accuracy",
+            "--sample", "6", "--out", str(tmp_path / "m.csv"), "--smoke-accuracy", *flags,
         ])
 
     def test_all_nan_train_columns_leave_stderr_empty(self, tmp_path, capsys):
@@ -299,6 +331,11 @@ class TestMetaCommand:
         assert "nearest-centroid accuracy: 1.000" in out
         assert err == ""
 
+    def test_strict_escalates_failures(self, tmp_path):
+        # Edgeless graphs fail the curvature blocks.
+        assert self._edgeless_meta(tmp_path, (3, 4), "--strict") == 3
+        assert (tmp_path / "m.csv").exists()
+
     def test_no_usable_column_is_data_error(self, tmp_path, capsys):
         # Every column is NaN or constant on the train rows: nothing to compare.
         assert self._edgeless_meta(tmp_path, (3, 3)) == 2
@@ -308,21 +345,6 @@ class TestMetaCommand:
         assert out == ""
         assert not (tmp_path / "m.csv").exists()
         assert not (tmp_path / "m.csv.meta.json").exists()
-
-    def test_label_filter_unknown_is_data_error(self, tmp_path, rng):
-        d1 = tmp_path / "a.jsonl"
-        write_dataset(d1, [erdos_renyi(6, 0.5, rng, id="x0")])
-        code = main(["meta", "--datasets", str(d1), "--labels", "zzz", "--out", str(tmp_path / "m.csv")])
-        assert code == 2
-
-    @pytest.mark.parametrize("labels", [",", " , ", ""])
-    def test_label_filter_naming_no_dataset_is_data_error(self, tmp_path, rng, capsys, labels):
-        d1 = tmp_path / "a.jsonl"
-        write_dataset(d1, [erdos_renyi(6, 0.5, rng, id="x0")])
-        code = main(["meta", "--datasets", str(d1), "--labels", labels, "--out", str(tmp_path / "m.csv")])
-        assert code == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
-        assert not (tmp_path / "m.csv").exists()
 
 
 class TestOneFingerprintTable:
@@ -372,3 +394,31 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestCommandLineContract:
+    """The command lines that the README shows and that the benchmark
+    workloads run all parse, so removing or renaming an option they pass
+    fails here rather than in a user's shell or a benchmark run."""
+
+    def parses(self, argv):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            pytest.fail(f"{shlex.join(argv)} exits {exc.code}")
+
+    def test_readme_cli_block(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+        lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        assert len(lines) >= 5 and all(line[0] == "graphinv" for line in lines)
+        for line in lines:
+            self.parses(line[1:])
+
+    def test_benchmark_workload_argv(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up there
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            self.parses(workloads.generate(name, 1, tmp_path / name).argv)

@@ -9,7 +9,6 @@ from graphinv.features import (
     build_x_init,
     feature_agg,
     feature_columns,
-    feature_sum,
     write_features_csv,
 )
 from graphinv.graph import GraphDataset, make_graph, parse_jsonl_dataset, relabel
@@ -52,20 +51,20 @@ class TestXInit:
 
 class TestSumAgg:
     def test_sum_unit_features(self):
-        assert feature_sum(empty_graph(7)).tolist() == [7.0]
+        assert feature_agg(empty_graph(7), 0).tolist() == [7.0]
 
     def test_sum_explicit(self):
         g = make_graph(2, [], node_features=[[1.0, 2.0], [3.0, 4.0]])
-        assert feature_sum(g).tolist() == [4.0, 6.0]
+        assert feature_agg(g, 0).tolist() == [4.0, 6.0]
 
     def test_sum_zero_vertices(self):
         g = make_graph(0, [], node_features=np.zeros((0, 3)))
-        assert feature_sum(g).tolist() == [0.0, 0.0, 0.0]
+        assert feature_agg(g, 0).tolist() == [0.0, 0.0, 0.0]
 
     def test_agg_block_zero_is_sum(self, rng):
         for _ in range(20):
             g = random_graph(rng)
-            assert np.array_equal(feature_agg(g, 2)[:1], feature_sum(g))
+            assert np.array_equal(feature_agg(g, 2)[:1], feature_agg(g, 0))
 
     def test_agg_c4_hand_powers(self):
         assert feature_agg(cycle_graph(4), 2).tolist() == [4.0, 8.0, 16.0]
@@ -85,7 +84,7 @@ class TestSumAgg:
     def test_identities_unit_features(self, rng):
         for _ in range(50):
             g = random_graph(rng)
-            assert feature_sum(g).tolist() == [float(g.n_vertices)]
+            assert feature_agg(g, 0).tolist() == [float(g.n_vertices)]
             assert feature_agg(g, 1)[1] == 2.0 * g.n_edges
 
     def test_permutation_invariance(self, rng):

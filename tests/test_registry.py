@@ -56,16 +56,6 @@ class TestRegimeConfig:
     def test_non_finite_randic_exponent(self, exponents):
         with pytest.raises(ConfigError, match="randic_exponents must be finite"):
             RegimeConfig(randic_exponents=exponents)
-        with pytest.raises(ConfigError, match="randic_exponents must be finite"):
-            RegimeConfig().with_overrides(randic_exponents=exponents)
-
-    def test_unknown_override_key(self):
-        with pytest.raises(ConfigError, match="unknown override"):
-            RegimeConfig().with_overrides(qq=0.5)
-
-    def test_override_roundtrip(self):
-        c = RegimeConfig().with_overrides(q=0.3, spectrum_k=4)
-        assert c.q == 0.3 and c.spectrum_k == 4
 
 
 class TestCatalog:
