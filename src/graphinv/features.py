@@ -61,9 +61,9 @@ def feature_agg(g: Graph, hops: int = DEFAULT_HOPS) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def feature_columns(config: FeatureConfig, dim: int) -> list[str]:
-    n_blocks = config.hops + 1 if config.mode == "agg" else 1
-    return [f"{config.mode}.{i}.{d}" for i in range(n_blocks) for d in range(dim)]
+def feature_columns(mode: str, hops: int, dim: int) -> list[str]:
+    """Names of the hops + 1 blocks of `dim` feature columns."""
+    return [f"{mode}.{i}.{d}" for i in range(hops + 1) for d in range(dim)]
 
 
 def _format_label(label) -> str:
@@ -95,7 +95,7 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
     header: list[str] = ["graph_id"]
     if vecs:
         dim = next(iter(dims)) // (hops + 1)
-        header += feature_columns(config, dim)
+        header += feature_columns(config.mode, hops, dim)
     if fingerprints is not None:
         header += fingerprints.value_columns() + fingerprints.status_columns()
     has_labels = any(g.label is not None for g in dataset)

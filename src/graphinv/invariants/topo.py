@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import BlockFailure
 from .homcount import count_all_patterns, overflows_int64
 from .patterns import PATTERN_CATALOG
 from .simplicial import clique_complex
-from .transport import wasserstein_1
+from .transport import transport_cost
 
 DEFAULT_MAGNITUDE_Q = math.exp(-0.42)
 DEFAULT_LAZINESS = 0.5
@@ -152,10 +153,14 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
     lies in B_1(u) and every sink y in B_1(v), so d(x, y) <= 1 + min(d(u, y),
     d(x, v)), and as all common neighbours carry the sign of d_v - d_u,
     d(u, y) = d(x, v) = 1 cannot hold together; uncrossing u -> y and
-    x -> v into u -> v and x -> y therefore never costs more. The optimum C
-    is then an exact integer and the value (L - C) / L is one correctly
-    rounded division, so it depends neither on the pivot order nor on the
-    vertex labels.
+    x -> v into u -> v and x -> y therefore never costs more. The rest is
+    one balanced integer instance, handed unchecked to
+    `transport.transport_cost` with its merged masses, cost rows and cost
+    columns; its least-cost start certifies itself as optimal for almost
+    every edge, and the basis tree is built only when a pivot is due. The
+    optimum C is then an exact integer and the value (L - C) / L is one
+    correctly rounded division, so it depends neither on the pivot order
+    nor on the vertex labels.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"laziness must lie in [0, 1), got {alpha}")
@@ -178,18 +183,19 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
         excess[u] -= routed
         excess[v] += routed
         sinks = [y for y, r in excess.items() if r < 0]
+        # itemgetter of one index returns the bare cost, not a 1-tuple
+        to_sinks = itemgetter(*sinks) if len(sinks) > 1 else lambda row: tuple([row[y] for y in sinks])
         supply: dict[tuple[int, ...], int] = {}  # cost row to the sinks -> mass
         for x, r in excess.items():
             if r > 0:
-                row = dist[x]
-                key = tuple([row[y] for y in sinks])
+                key = to_sinks(dist[x])
                 supply[key] = supply.get(key, 0) + r
         demand: dict[tuple[int, ...], int] = {}  # cost column from the merged rows -> mass
         for y, column in zip(sinks, zip(*supply)):
             demand[column] = demand.get(column, 0) - excess[y]
         moved = routed
         if supply:
-            moved += wasserstein_1(list(supply.values()), list(demand.values()), list(zip(*demand)))
+            moved += transport_cost(list(supply.values()), list(demand.values()), list(zip(*demand)), list(demand))
         values[e] = (scale - moved) / scale
     return edge_distribution(values)
 

@@ -1,19 +1,29 @@
 """Exact 1-Wasserstein distance between small discrete integer measures.
 
 Solved with a transportation simplex specialized for the tiny dense
-instances that arise from neighbourhood measures; when an edge uv has a
-source u and a sink v, its caller `topo.ollivier_ricci` first sends the
-edge's own mass along uv, so the instance lacks u's row or v's column. It
-starts from the least-cost basic solution: cells are taken in ascending
-cost order and each closes exactly one row or column, so the m + n - 1
-basic cells form a spanning tree of the row and column nodes. Rows and
-columns are first put in descending order of cost sum, ties by index, so
-that among equal costs the ones with the fewest cheap cells are served
-first; with that order the start is almost always optimal. Pivots follow
-Bland's rule: the first cell in row-major order of negative reduced cost
-enters, and of the tree cells that could leave, the one of least index
-leaves, so the simplex cannot cycle. After each pivot the tree and its
-dual potentials are rebuilt from the basis.
+instances that arise from neighbourhood measures. Its one entry,
+`transport_cost`, takes a balanced instance as Python ints and checks
+nothing: `topo.ollivier_ricci` builds its instances balanced and calls it
+directly, and `wasserstein_1` checks an arbitrary instance first. When an
+edge uv has a source u and a sink v, `topo.ollivier_ricci` first sends the
+edge's own mass along uv, so the instance lacks u's row or v's column.
+
+Rows and columns are first put in descending order of cost sum, ties by
+index, so that among equal costs the ones with the fewest cheap cells are
+served first. The least-cost start then takes cells in ascending cost
+order, ties in row-major order; each closes exactly one row or column, so
+the m + n - 1 basic cells form a spanning tree of the row and column
+nodes, and one column is never closed. Walking the closings backwards
+from that column gives the dual potentials, u_i + v_j = c_ij on every
+basic cell: a cell that closed a row meets a column closed later (or
+never), and one that closed a column meets a row closed later. With the
+order above the start is almost always optimal, and it certifies itself:
+when no cell has a negative reduced cost c_ij - u_i - v_j, its cost is
+the optimum and no tree is built. Otherwise the simplex pivots by Bland's
+rule from that basis: the first cell in row-major order of negative
+reduced cost enters, and of the tree cells that could leave, the one of
+least index leaves, so the simplex cannot cycle. Only then is the basis
+tree built, and it is rebuilt with its potentials after each pivot.
 
 Masses, costs, flows and potentials are Python ints (which may pass int64),
 so every reduced cost and mass update is exact and so is the optimum.
@@ -27,32 +37,41 @@ class TransportError(RuntimeError):
     inputs)."""
 
 
-def _least_cost_start(a: list[int], b: list[int], order: list[int], n: int) -> dict[int, int]:
-    """Flows of the m + n - 1 basic cells by row-major index, taking cells in
-    `order`; uses up `a` and `b`. A cell reached with its row and column open
-    takes min(a_i, b_j) and closes one of the two, never the last open row or
-    column before the end."""
+def _least_cost_start(a: list[int], b: list[int], cf: list[int], n: int) -> tuple[dict[int, int], list[int]]:
+    """Flows of the m + n - 1 basic cells by row-major index, taking cells
+    in ascending order of their costs `cf` (ties by index), and the dual
+    potentials of that basis: rows are nodes 0..m-1, column j is node
+    m + j, and the column never closed has potential 0. Uses up `a` and
+    `b`. A cell reached with its row and column open moves min(a_i, b_j)
+    and closes its row if that empties the row, else its column; the last
+    open row closes only with the last open column."""
     m = len(a)
     row_open, col_open = [True] * m, [True] * n
     rows_left, cols_left = m, n
     flow: dict[int, int] = {}
-    for cell in order:
+    closings: list[tuple[int, int, int]] = []  # closed node, its open partner, cost
+    for cell in sorted(range(m * n), key=cf.__getitem__):
         i, j = divmod(cell, n)
-        if not (row_open[i] and col_open[j]):
-            continue
-        f = min(a[i], b[j])
-        flow[cell] = f
-        a[i] -= f
-        b[j] -= f
-        if cols_left == 1 or (rows_left > 1 and a[i] <= b[j]):
-            row_open[i] = False
-            rows_left -= 1
-            if rows_left == 0:
-                break
-        else:
-            col_open[j] = False
-            cols_left -= 1
-    return flow
+        if row_open[i] and col_open[j]:
+            ai, bj = a[i], b[j]
+            if cols_left == 1 or (rows_left > 1 and ai <= bj):
+                flow[cell] = ai
+                b[j] = bj - ai
+                closings.append((i, m + j, cf[cell]))
+                row_open[i] = False
+                rows_left -= 1
+                if rows_left == 0:
+                    break
+            else:
+                flow[cell] = bj
+                a[i] = ai - bj
+                closings.append((m + j, i, cf[cell]))
+                col_open[j] = False
+                cols_left -= 1
+    pot = [0] * (m + n)
+    for x, y, c in reversed(closings):
+        pot[x] = c - pot[y]
+    return flow, pot
 
 
 def _tree(flow: dict[int, int], cf: list[int], m: int, n: int):
@@ -91,6 +110,52 @@ def _bland(cf: list[int], pot: list[int], flow: dict[int, int], m: int, n: int) 
     return -1
 
 
+def transport_cost(supply: list[int], demand: list[int], cost_rows, cost_cols) -> int:
+    """Exact optimum of the balanced instance moving `supply` (m,) to
+    `demand` (n,) at cost cost_rows[i][j] = cost_cols[j][i], all Python
+    ints with non-negative masses of equal totals. Nothing is checked."""
+    m, n = len(supply), len(demand)
+    # Fewest cheap cells first (see the module docstring); a stable sort
+    # keeps ties in index order also when reversed.
+    rows = sorted(range(m), key=list(map(sum, cost_rows)).__getitem__, reverse=True)
+    cols = sorted(range(n), key=list(map(sum, cost_cols)).__getitem__, reverse=True)
+    cf = [row[j] for row in map(cost_rows.__getitem__, rows) for j in cols]
+    flow, pot = _least_cost_start(list(map(supply.__getitem__, rows)), list(map(demand.__getitem__, cols)), cf, n)
+    # The start is optimal unless a cell prices negative under its own
+    # potentials; only then does Bland's rule pivot, from the same basis.
+    if _bland(cf, pot, flow, m, n) >= 0:
+        for _ in range(200 * (m + n)):
+            parent, depth, pot = _tree(flow, cf, m, n)
+            entering = _bland(cf, pot, flow, m, n)
+            if entering < 0:
+                break
+            i0, j0 = divmod(entering, n)
+
+            # The tree path from column j0 up to the common ancestor and
+            # down to row i0 closes the cycle; its cells alternate -theta,
+            # +theta.
+            up_col, up_row = [], []
+            x, y = m + j0, i0
+            while x != y:
+                if depth[x] >= depth[y]:
+                    up_col.append(x)
+                    x = parent[x]
+                else:
+                    up_row.append(y)
+                    y = parent[y]
+            cells = [x * n + parent[x] - m if x < m else parent[x] * n + x - m for x in up_col + up_row[::-1]]
+            k = min(range(0, len(cells), 2), key=lambda s: (flow[cells[s]], cells[s]))
+            theta = flow[cells[k]]
+            for s, cell in enumerate(cells):
+                flow[cell] += theta if s % 2 else -theta
+            del flow[cells[k]]
+            flow[entering] = theta
+        else:
+            raise TransportError(f"transportation simplex did not terminate ({m}x{n})")
+
+    return sum(cf[cell] * f for cell, f in flow.items())
+
+
 def wasserstein_1(mu, nu, cost) -> int:
     """Exact optimal transport cost between the integer measures `mu` (m,)
     and `nu` (n,) under the integer `cost` matrix (m, n), given as sequences
@@ -114,39 +179,4 @@ def wasserstein_1(mu, nu, cost) -> int:
         raise ValueError("masses must be non-negative")
     if sa != sb:
         raise ValueError(f"unbalanced measures: masses sum to {sa} and {sb}")
-
-    # Fewest cheap cells first (see the module docstring).
-    rows = sorted(range(m), key=lambda i: -sum(cf[i * n:i * n + n]))
-    cols = sorted(range(n), key=lambda j: -sum(cf[j::n]))
-    a, b = [a[i] for i in rows], [b[j] for j in cols]
-    cf = [cf[i * n + j] for i in rows for j in cols]
-    flow = _least_cost_start(a, b, sorted(range(m * n), key=cf.__getitem__), n)
-    for _ in range(200 * (m + n)):
-        parent, depth, pot = _tree(flow, cf, m, n)
-        entering = _bland(cf, pot, flow, m, n)
-        if entering < 0:
-            break
-        i0, j0 = divmod(entering, n)
-
-        # The tree path from column j0 up to the common ancestor and down
-        # to row i0 closes the cycle; its cells alternate -theta, +theta.
-        up_col, up_row = [], []
-        x, y = m + j0, i0
-        while x != y:
-            if depth[x] >= depth[y]:
-                up_col.append(x)
-                x = parent[x]
-            else:
-                up_row.append(y)
-                y = parent[y]
-        cells = [x * n + parent[x] - m if x < m else parent[x] * n + x - m for x in up_col + up_row[::-1]]
-        k = min(range(0, len(cells), 2), key=lambda s: (flow[cells[s]], cells[s]))
-        theta = flow[cells[k]]
-        for s, cell in enumerate(cells):
-            flow[cell] += theta if s % 2 else -theta
-        del flow[cells[k]]
-        flow[entering] = theta
-    else:
-        raise TransportError(f"transportation simplex did not terminate ({m}x{n})")
-
-    return sum(cf[cell] * f for cell, f in flow.items())
+    return transport_cost(a, b, [cf[i * n:i * n + n] for i in range(m)], [cf[j::n] for j in range(n)])

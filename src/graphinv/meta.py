@@ -54,9 +54,14 @@ def assemble_meta_table(
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    seen: set[str] = set()
     for ds in datasets:
         if len(ds) == 0:
             raise ValueError(f"dataset {ds.name!r} is empty")
+        # The sidecar maps each label to its dataset's name.
+        if ds.name in seen:
+            raise ValueError(f"two datasets are named {ds.name!r}")
+        seen.add(ds.name)
 
     rng = np.random.default_rng(seed)
     graphs = []

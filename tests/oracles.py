@@ -4,7 +4,10 @@ Nothing here shares helpers with the package: distances come from a
 Floyd-Warshall pass, degrees are recounted from the edge list, and the
 heavier oracles (spanning-tree deletion/contraction, the pattern-catalog
 enumeration, exhaustive homomorphism enumeration, exhaustive
-transport-plan search) use their own data structures.
+transport-plan search) use their own data structures. The one exception,
+`ollivier_ricci_checked`, is a reference for the unchecked transport path:
+it builds each edge's instance on Floyd-Warshall distances and solves it
+with the package's public, checked `wasserstein_1`.
 """
 
 from __future__ import annotations
@@ -447,6 +450,51 @@ def _solve_tree_plan(mu, nu, basis, m, n):
     if any(w < 0 for w in plan.values()):
         return None
     return plan
+
+
+# ---------------------------------------------------------------------------
+# Ollivier-Ricci curvature through the checked transport entry
+
+
+def ollivier_ricci_checked(n: int, edges, alpha: float) -> list[float]:
+    """Per-edge Ollivier-Ricci curvature by the construction of
+    `topo.ollivier_ricci` (exact fraction alpha = P/Q, the signed excess,
+    the edge's own mass routed first, equal cost rows and columns merged),
+    with every edge's instance passed to the checked `wasserstein_1`."""
+    from graphinv.invariants.transport import wasserstein_1
+
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    dist = floyd_warshall(n, edges)
+    p, q = float(alpha).as_integer_ratio()
+    values = []
+    for u, v in edges:
+        du, dv = len(nbrs[u]), len(nbrs[v])
+        scale = q * du * dv
+        excess = dict.fromkeys(nbrs[u], (q - p) * dv)
+        excess[u] = p * du * dv
+        for y in nbrs[v]:
+            excess[y] = excess.get(y, 0) - (q - p) * du
+        excess[v] -= p * du * dv
+        routed = max(0, min(excess[u], -excess[v]))
+        excess[u] -= routed
+        excess[v] += routed
+        sinks = [y for y, r in excess.items() if r < 0]
+        supply: dict[tuple[int, ...], int] = {}
+        for x, r in excess.items():
+            if r > 0:
+                key = tuple(int(dist[x][y]) for y in sinks)
+                supply[key] = supply.get(key, 0) + r
+        demand: dict[tuple[int, ...], int] = {}
+        for y, column in zip(sinks, zip(*supply)):
+            demand[column] = demand.get(column, 0) - excess[y]
+        moved = routed
+        if supply:
+            moved += wasserstein_1(list(supply.values()), list(demand.values()), list(zip(*demand)))
+        values.append((scale - moved) / scale)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,22 @@ class TestMetaCommand:
         assert not (tmp_path / "m.csv").exists()
         assert not (tmp_path / "m.csv.meta.json").exists()
 
+    def test_duplicate_dataset_names_are_data_error(self, tmp_path, rng, capsys):
+        # x/er.jsonl and y/er.jsonl both load as dataset "er"; the sidecar
+        # could not tell their labels apart.
+        paths = []
+        for folder in ("x", "y"):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "er.jsonl")
+            write_dataset(paths[-1], [erdos_renyi(6, 0.4, rng, id=f"{folder}{i}") for i in range(4)])
+        out = tmp_path / "m.csv"
+        code = main(["meta", "--datasets", *map(str, paths), "--regime", "reduced", "--sample", "4", "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 2
+        assert err.strip().splitlines() == ["graphinv: two datasets are named 'er'"]
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestOneFingerprintTable:
     """Every command's invariant cells come from the same table, so on one

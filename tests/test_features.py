@@ -131,8 +131,8 @@ class TestAssembleRow:
 
 class TestCsv:
     def test_column_names(self):
-        assert feature_columns(FeatureConfig(mode="sum"), 2) == ["sum.0.0", "sum.0.1"]
-        assert feature_columns(FeatureConfig(mode="agg", hops=1), 1) == ["agg.0.0", "agg.1.0"]
+        assert feature_columns("sum", 0, 2) == ["sum.0.0", "sum.0.1"]
+        assert feature_columns("agg", 1, 1) == ["agg.0.0", "agg.1.0"]
 
     def test_label_passthrough(self, tmp_path):
         graphs = (
@@ -175,7 +175,7 @@ class TestEdgelessInFeaturedDataset:
     def test_zero_edge_block(self, tmp_path, mode, spelling):
         bare = {"id": "bare", "num_nodes": 2, "edges": [], "node_features": [[5.0], [6.0]], **spelling}
         header, k2, row = self.rows(tmp_path, mode, bare)
-        assert header[1:] == feature_columns(FeatureConfig(mode=mode, hops=2), 3)
+        assert header[1:] == feature_columns(mode, 0 if mode == "sum" else 2, 3)
         hops = [] if mode == "sum" else [0.0] * 6  # A = 0 for the edgeless graph
         assert [float(x) for x in row[1:]] == [11.0, 0.0, 0.0] + hops
         assert [float(x) for x in k2[1:4]] == [3.0, 6.0, 8.0]

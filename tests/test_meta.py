@@ -75,6 +75,16 @@ class TestAssembly:
                 [GraphDataset((), name="bad")], catalog, sample_size=2
             )
 
+    def test_duplicate_dataset_name_rejected(self, rng, catalog):
+        # The sidecar maps labels to names, so two datasets of one name
+        # would make the label column ambiguous; a copy under another name
+        # (as in TestChanceLevel) is fine.
+        a = small_dataset(rng, 4, "er")
+        with pytest.raises(ValueError, match="two datasets are named 'er'"):
+            assemble_meta_table([a, small_dataset(rng, 4, "er")], catalog, sample_size=2)
+        t = assemble_meta_table([a, GraphDataset(a.graphs, name="copy")], catalog, sample_size=2)
+        assert t.label_names == ("er", "copy")
+
 
 class TestExport:
     def test_csv_and_sidecar(self, rng, catalog, tmp_path):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from graphinv.invariants import transport
 from graphinv.invariants.topo import ollivier_ricci
-from graphinv.invariants.transport import wasserstein_1
+from graphinv.invariants.transport import _bland, _least_cost_start, _tree, transport_cost, wasserstein_1
 
-from conftest import erdos_renyi
-from oracles import adjacency, degrees, floyd_warshall, wasserstein_exhaustive
+from conftest import barabasi_albert, erdos_renyi
+from oracles import adjacency, degrees, floyd_warshall, ollivier_ricci_checked, wasserstein_exhaustive
 
 
 def linprog_w1(mu, nu, cost):
@@ -211,3 +213,76 @@ class TestOllivierRicci:
                 nu = np.array([alpha] + [(1 - alpha) / deg[v]] * deg[v])
                 want = 1.0 - linprog_w1(mu, nu, dist[np.ix_(sup_u, sup_v)])
                 assert got.values[e] == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def balanced_instances(draw):
+    """Balanced integer masses (zeros included) and integer costs on up to
+    6 x 6 cells; narrow cost ranges give many ties, wide ones past int64
+    few."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    wa = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m).filter(any))
+    wb = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+    top = draw(st.sampled_from([1, 3, 2**70]))
+    cost = draw(st.lists(st.lists(st.integers(0, top), min_size=n, max_size=n), min_size=m, max_size=m))
+    return [w * sum(wb) for w in wa], [w * sum(wa) for w in wb], cost
+
+
+class TestStartCertificate:
+    """The least-cost start reads its dual potentials off its closing order
+    and is accepted without a basis tree when no cell prices negative."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(balanced_instances())
+    def test_closing_order_potentials_price_basic_cells_at_cost(self, instance):
+        mu, nu, cost = instance
+        m, n = len(mu), len(nu)
+        cf = [c for row in cost for c in row]
+        flow, pot = _least_cost_start(list(mu), list(nu), cf, n)
+        assert len(flow) == m + n - 1
+        for cell in flow:
+            i, j = divmod(cell, n)
+            assert pot[i] + pot[m + j] == cf[cell]
+
+    @settings(max_examples=300, deadline=None)
+    @given(balanced_instances())
+    def test_start_accepted_exactly_when_tree_potentials_admit_no_entering_cell(self, instance):
+        starts = []
+
+        def start(a, b, cf, n):
+            flow, pot = _least_cost_start(a, b, cf, n)
+            starts.append((dict(flow), cf, n))
+            return flow, pot
+
+        with mock.patch.object(transport, "_least_cost_start", start), \
+                mock.patch.object(transport, "_tree", wraps=_tree) as tree:
+            got = transport_cost(*instance, list(zip(*instance[2])))
+        [(flow, cf, n)] = starts
+        m = len(cf) // n
+        accepted = not tree.called
+        assert accepted == (_bland(cf, _tree(flow, cf, m, n)[2], flow, m, n) < 0)
+        if accepted:
+            assert got == sum(cf[cell] * f for cell, f in flow.items())
+
+
+class TestUncheckedPath:
+    """`ollivier_ricci` hands its instances to `transport_cost` unchecked;
+    each value must equal, bit for bit, the same construction solved by
+    the checked `wasserstein_1`."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9])
+    def test_bit_identical_to_checked_reference(self, rng, alpha):
+        graphs = [erdos_renyi(rng.randint(6, 24), rng.uniform(0.15, 0.6), rng) for _ in range(6)]
+        hubs = [barabasi_albert(120, 3, rng) for _ in range(2)]
+        for g in graphs + hubs:
+            if g.n_edges == 0:
+                continue
+            want = np.array(ollivier_ricci_checked(g.n_vertices, g.edges, alpha))
+            assert ollivier_ricci(g, alpha).values.tobytes() == want.tobytes()
+        # alpha = 0.1 is P / 2**55, so the scale L = 2**55 d_u d_v, and with
+        # it the masses, passes int64 on the hub edges.
+        widest = 0
+        for g in hubs:
+            deg = degrees(g.n_vertices, g.edges)
+            widest = max(widest, max(deg[u] * deg[v] for u, v in g.edges))
+        assert 2**55 * widest > 2**63
