@@ -145,7 +145,7 @@ def _dataset(graphs: Iterable[Graph], name: str) -> GraphDataset:
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines parser and its inverse
+# JSON-lines parser
 
 
 def read_jsonl(stream: IO | str | bytes, prefix: str = "line") -> Iterator[tuple[int, dict]]:
@@ -214,26 +214,12 @@ def load_jsonl(path: str | Path, name: str = "") -> GraphDataset:
         return parse_jsonl_dataset(fh, name=name or path.stem)
 
 
-def graph_to_obj(g: Graph) -> dict:
-    """Inverse of the JSONL graph schema (used by converters and tests)."""
-    obj: dict = {"id": g.id, "num_nodes": g.n_vertices, "edges": [list(e) for e in g.edges]}
-    if g.node_features is not None:
-        obj["node_features"] = g.node_features.tolist()
-    if g.edge_features is not None:
-        obj["edge_features"] = g.edge_features.tolist()
-    if g.label is not None:
-        obj["label"] = g.label
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Adjacency and traversal (held for one graph at a time; results are read-only)
 
 #: The cache of every function of one graph, keyed by its identity. One
-#: slot holds one graph's matrices only. The commands fingerprint one graph
-#: after another, except that the first graph of a homomorphism-count chunk
-#: reads the adjacency matrix of every graph of the chunk (``homcount``), so
-#: each graph of a chunk builds its adjacency matrix twice.
+#: slot holds one graph's matrices only; the commands fingerprint one graph
+#: after another.
 per_graph = functools.lru_cache(maxsize=1)
 
 
@@ -315,18 +301,3 @@ def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
     roots = np.flatnonzero(first == vertices)
     return int(roots.size), tuple(np.searchsorted(roots, first).tolist())
 
-
-def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
-    """Apply a vertex permutation: vertex i becomes perm[i]. ``make_graph``
-    re-sorts the permuted edges and their feature rows together."""
-    if sorted(perm) != list(range(g.n_vertices)):
-        raise GraphDataError("perm is not a permutation of the vertex set")
-    edges = [(perm[u], perm[v]) for u, v in g.edges]
-    nf = g.node_features
-    if nf is not None:
-        out = np.empty_like(nf)
-        out[list(perm)] = nf
-        nf = out
-    return make_graph(
-        g.n_vertices, edges, node_features=nf, edge_features=g.edge_features, id=g.id, label=g.label
-    )

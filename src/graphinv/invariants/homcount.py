@@ -44,14 +44,11 @@ alone, so an error lands on the graph that causes it.
 Memory is O(m + table) for tree patterns, whose steps all have one
 anchor; the tables of a chunk hold the rows of all its graphs. The
 first step with two or more anchors reads each graph's n x n adjacency
-matrix (``graph.adjacency_matrix``) and the first two-anchor sum-out
-computes its A @ A, both stored flat per chunk: at most 2**16 entries
-each for a chunk of several graphs, n**2 for a large graph alone, which
-pays one n**3 product and O(n**2) memory on top. The full regime builds
-n x n matrices of each graph anyway (distances, Laplacians). The
-per-graph cache holds one graph, so the first graph's count leaves the
-chunk's last adjacency matrix there: the first graph's own blocks and
-every later graph of the chunk build theirs again.
+matrix and the first two-anchor sum-out computes its A @ A, both stored
+flat per chunk: at most 2**16 entries each for a chunk of several
+graphs, n**2 for a large graph alone, which pays one n**3 product and
+O(n**2) memory on top. The full regime builds n x n matrices of each
+graph anyway (distances, Laplacians).
 
 Counts are exact. Every partial table counts maps of a connected
 pattern with at most five vertices into one graph, so no entry or sum
@@ -140,7 +137,8 @@ class _Host:
     """The disjoint union of a chunk of graphs as CSR neighbour lists over
     global vertex ids; the vertices of each graph are consecutive, in
     chunk order. Steps with two or more anchors also read each graph's
-    dense adjacency matrix and, on a two-anchor sum-out, its
+    dense adjacency matrix (set from the CSR, or a lone graph's cached
+    ``graph.adjacency_matrix``) and, on a two-anchor sum-out, its
     common-neighbour counts A @ A, built on first use and stored flat,
     one block per graph. Every vertex of a table row lies in one graph,
     so a read at (u, v) is the entry ``base[u] + local[v]`` of that
@@ -184,8 +182,12 @@ class _Host:
 
     @cached_property
     def _adjacency(self) -> np.ndarray:
-        blocks = [adjacency_matrix(g).ravel() for g in self.graphs]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # a lone graph's is not copied
+        if len(self.graphs) == 1:  # a lone graph's cached matrix, not copied
+            return adjacency_matrix(self.graphs[0]).ravel()
+        flat = np.zeros(int((self.sizes**2).sum()))
+        u = np.repeat(np.arange(self.n), np.diff(self.indptr))  # the row of each CSR entry
+        flat[self.base[u] + self.local[self.indices]] = 1.0
+        return flat
 
     @cached_property
     def _common(self) -> np.ndarray:

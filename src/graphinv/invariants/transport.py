@@ -3,10 +3,11 @@
 Solved with a transportation simplex specialized for the tiny dense
 instances that arise from neighbourhood measures. Its one entry,
 `transport_cost`, takes a balanced instance as Python ints and checks
-nothing: `topo.ollivier_ricci` builds its instances balanced and calls it
-directly, and `wasserstein_1` checks an arbitrary instance first. When an
-edge uv has a source u and a sink v, `topo.ollivier_ricci` first sends the
-edge's own mass along uv, so the instance lacks u's row or v's column.
+nothing: `topo.ollivier_ricci` builds its instances balanced by
+construction, and the tests check it against a checked reference entry,
+an exhaustive plan search and `linprog`. When an edge uv has a source u
+and a sink v, `topo.ollivier_ricci` first sends the edge's own mass along
+uv, so the instance lacks u's row or v's column.
 
 Rows and columns are first put in descending order of cost sum, ties by
 index, so that among equal costs the ones with the fewest cheap cells are
@@ -154,29 +155,3 @@ def transport_cost(supply: list[int], demand: list[int], cost_rows, cost_cols) -
             raise TransportError(f"transportation simplex did not terminate ({m}x{n})")
 
     return sum(cf[cell] * f for cell, f in flow.items())
-
-
-def wasserstein_1(mu, nu, cost) -> int:
-    """Exact optimal transport cost between the integer measures `mu` (m,)
-    and `nu` (n,) under the integer `cost` matrix (m, n), given as sequences
-    of Python ints. Masses must be non-negative and both measures must have
-    the same total; anything else, a float, a numpy scalar or array among
-    them, raises ValueError."""
-    try:  # a 0-d mass array fails at list, a nested mass at sum
-        a, b = list(mu), list(nu)
-        m, n = len(a), len(b)
-        if len(cost) != m or any(len(row) != n for row in cost):
-            raise ValueError("distribution lengths do not match the cost matrix")
-        cf = [c for row in cost for c in row]
-        sa, sb = sum(a), sum(b)
-        # A float or numpy entry makes its sum another type than int.
-        ints = type(sa) is type(sb) is type(sum(cf)) is int
-    except TypeError:
-        ints = False
-    if not ints:
-        raise ValueError("masses and costs must be flat sequences of Python ints")
-    if min(a) < 0 or min(b) < 0:
-        raise ValueError("masses must be non-negative")
-    if sa != sb:
-        raise ValueError(f"unbalanced measures: masses sum to {sa} and {sb}")
-    return transport_cost(a, b, [cf[i * n:i * n + n] for i in range(m)], [cf[j::n] for j in range(n)])

@@ -6,11 +6,12 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from graphinv.graph import Graph, make_graph
+from graphinv.graph import Graph, GraphDataError, make_graph
 
 
 def path_graph(n: int) -> Graph:
@@ -31,6 +32,12 @@ def star_graph(n_leaves: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return make_graph(n, [], id=f"E{n}")
+
+
+def circulant_graph(n: int, steps) -> Graph:
+    """The circulant C_n(steps): i ~ i + s (mod n) for every s in `steps`."""
+    edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+    return make_graph(n, edges, id=f"C{n}{sorted(steps)}")
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -75,6 +82,34 @@ def random_permutation(n: int, rng: random.Random) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
+    """Apply a vertex permutation: vertex i becomes perm[i]. ``make_graph``
+    re-sorts the permuted edges and their feature rows together."""
+    if sorted(perm) != list(range(g.n_vertices)):
+        raise GraphDataError("perm is not a permutation of the vertex set")
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    nf = g.node_features
+    if nf is not None:
+        out = np.empty_like(nf)
+        out[list(perm)] = nf
+        nf = out
+    return make_graph(
+        g.n_vertices, edges, node_features=nf, edge_features=g.edge_features, id=g.id, label=g.label
+    )
+
+
+def graph_to_obj(g: Graph) -> dict:
+    """Inverse of the JSONL graph schema that ``graph.graph_from_obj`` reads."""
+    obj: dict = {"id": g.id, "num_nodes": g.n_vertices, "edges": [list(e) for e in g.edges]}
+    if g.node_features is not None:
+        obj["node_features"] = g.node_features.tolist()
+    if g.edge_features is not None:
+        obj["edge_features"] = g.edge_features.tolist()
+    if g.label is not None:
+        obj["label"] = g.label
+    return obj
 
 
 def rook_graph_4x4() -> Graph:

@@ -4,10 +4,12 @@ Nothing here shares helpers with the package: distances come from a
 Floyd-Warshall pass, degrees are recounted from the edge list, and the
 heavier oracles (spanning-tree deletion/contraction, the pattern-catalog
 enumeration, exhaustive homomorphism enumeration, exhaustive
-transport-plan search) use their own data structures. The one exception,
-`ollivier_ricci_checked`, is a reference for the unchecked transport path:
-it builds each edge's instance on Floyd-Warshall distances and solves it
-with the package's public, checked `wasserstein_1`.
+transport-plan search) use their own data structures. The exceptions
+are the references for the unchecked transport path: `wasserstein_1` is
+the checked entry, which refuses any instance that is not balanced,
+non-negative and made of Python ints before it calls the package's
+`transport_cost`, and `ollivier_ricci_checked` builds each edge's
+instance on Floyd-Warshall distances and solves it with `wasserstein_1`.
 """
 
 from __future__ import annotations
@@ -389,6 +391,27 @@ def min_width_order(n: int, edges) -> tuple[int, ...]:
     return best[1]
 
 
+def treewidth(n: int, edges) -> int:
+    """Treewidth by brute force over elimination orders: eliminating a
+    vertex joins its remaining neighbours into a clique, an order's width is
+    the most neighbours a vertex has when it is eliminated, and the
+    treewidth is the least width of any order."""
+    best = max(n - 1, 0)
+    for order in permutations(range(n)):
+        nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        width = 0
+        for v in order:
+            width = max(width, len(nbrs[v]))
+            for x in nbrs[v]:
+                nbrs[x] |= nbrs[v] - {x}
+                nbrs[x].discard(v)
+        best = min(best, width)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive 1-Wasserstein via basic feasible solutions (exact rationals)
 
@@ -453,7 +476,36 @@ def _solve_tree_plan(mu, nu, basis, m, n):
 
 
 # ---------------------------------------------------------------------------
-# Ollivier-Ricci curvature through the checked transport entry
+# The checked transport entry, and Ollivier-Ricci curvature through it
+
+
+def wasserstein_1(mu, nu, cost) -> int:
+    """Exact optimal transport cost between the integer measures `mu` (m,)
+    and `nu` (n,) under the integer `cost` matrix (m, n), given as sequences
+    of Python ints, solved by the package's unchecked `transport_cost`.
+    Masses must be non-negative and both measures must have the same total;
+    anything else, a float, a numpy scalar or array among them, raises
+    ValueError."""
+    from graphinv.invariants.transport import transport_cost
+
+    try:  # a 0-d mass array fails at list, a nested mass at sum
+        a, b = list(mu), list(nu)
+        m, n = len(a), len(b)
+        if len(cost) != m or any(len(row) != n for row in cost):
+            raise ValueError("distribution lengths do not match the cost matrix")
+        cf = [c for row in cost for c in row]
+        sa, sb = sum(a), sum(b)
+        # A float or numpy entry makes its sum another type than int.
+        ints = type(sa) is type(sb) is type(sum(cf)) is int
+    except TypeError:
+        ints = False
+    if not ints:
+        raise ValueError("masses and costs must be flat sequences of Python ints")
+    if min(a) < 0 or min(b) < 0:
+        raise ValueError("masses must be non-negative")
+    if sa != sb:
+        raise ValueError(f"unbalanced measures: masses sum to {sa} and {sb}")
+    return transport_cost(a, b, [cf[i * n:i * n + n] for i in range(m)], [cf[j::n] for j in range(n)])
 
 
 def ollivier_ricci_checked(n: int, edges, alpha: float) -> list[float]:
@@ -461,8 +513,6 @@ def ollivier_ricci_checked(n: int, edges, alpha: float) -> list[float]:
     `topo.ollivier_ricci` (exact fraction alpha = P/Q, the signed excess,
     the edge's own mass routed first, equal cost rows and columns merged),
     with every edge's instance passed to the checked `wasserstein_1`."""
-    from graphinv.invariants.transport import wasserstein_1
-
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         nbrs[u].add(v)

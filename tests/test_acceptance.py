@@ -23,7 +23,7 @@ import oracles
 from graphinv.cli import main
 from graphinv.expressivity import GraphPair, greedy_subset, load_pairs, score_pairs
 from graphinv.features import feature_agg
-from graphinv.graph import GraphDataset, adjacency_matrix, adjacency_sets, bfs_all_pairs, degree_vector, graph_to_obj, relabel
+from graphinv.graph import GraphDataset, adjacency_matrix, adjacency_sets, bfs_all_pairs, degree_vector
 from graphinv.invariants.basic import spanning_tree_count
 from graphinv.invariants.homcount import count_all_patterns
 from graphinv.invariants.indices import randic, wiener
@@ -38,9 +38,11 @@ from conftest import (
     cycle_graph,
     empty_graph,
     erdos_renyi,
+    graph_to_obj,
     path_graph,
     random_graph,
     random_permutation,
+    relabel,
     rook_graph_4x4,
     shrikhande_graph,
     star_graph,

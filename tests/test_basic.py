@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphinv.graph import make_graph, relabel
+from graphinv.graph import make_graph
 from graphinv.invariants import BlockFailure
 from graphinv.invariants.basic import (
     algebraic_connectivity,
@@ -29,6 +29,7 @@ from conftest import (
     path_graph,
     random_graph,
     random_permutation,
+    relabel,
     star_graph,
     two_triangles,
 )

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from graphinv.cli import build_parser, main
-from graphinv.graph import graph_to_obj, make_graph, relabel
+from graphinv.graph import make_graph
 
-from conftest import cycle_graph, erdos_renyi, random_permutation, two_triangles
+from conftest import cycle_graph, erdos_renyi, graph_to_obj, random_permutation, relabel, two_triangles
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"

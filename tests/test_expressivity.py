@@ -17,15 +17,17 @@ from graphinv.expressivity import (
     parse_pairs_jsonl,
     score_pairs,
 )
-from graphinv.graph import GraphDataError, graph_to_obj, make_graph, relabel
+from graphinv.graph import GraphDataError, make_graph
 from graphinv.invariants import BlockFailure
 from graphinv.registry import RegimeConfig, block, build_catalog, fingerprint
 
 from conftest import (
     cycle_graph,
     complete_graph,
+    graph_to_obj,
     random_graph,
     random_permutation,
+    relabel,
     two_triangles,
 )
 from oracles import block_difference

@@ -11,7 +11,7 @@ from graphinv.features import (
     feature_columns,
     write_features_csv,
 )
-from graphinv.graph import GraphDataset, make_graph, parse_jsonl_dataset, relabel
+from graphinv.graph import GraphDataset, make_graph, parse_jsonl_dataset
 from graphinv.registry import RegimeConfig, build_catalog
 
 from conftest import (
@@ -20,6 +20,7 @@ from conftest import (
     empty_graph,
     random_graph,
     random_permutation,
+    relabel,
     star_graph,
 )
 

@@ -14,20 +14,20 @@ from graphinv.graph import (
     connected_components,
     degree_vector,
     graph_from_obj,
-    graph_to_obj,
     make_graph,
     parse_jsonl_dataset,
     read_jsonl,
-    relabel,
 )
 
 from conftest import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph_to_obj,
     path_graph,
     random_graph,
     random_permutation,
+    relabel,
     star_graph,
     two_triangles,
 )

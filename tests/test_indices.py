@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from graphinv.graph import make_graph, relabel
+from graphinv.graph import make_graph
 from graphinv.invariants.indices import (
     atom_bond_connectivity,
     balaban,
@@ -31,6 +31,7 @@ from conftest import (
     path_graph,
     random_graph,
     random_permutation,
+    relabel,
     star_graph,
 )
 

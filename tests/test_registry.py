@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphinv.graph import GraphDataset, make_graph, relabel
+from graphinv.graph import GraphDataset, adjacency_matrix, make_graph
 from graphinv.invariants import BlockFailure, homcount
+from graphinv.invariants.homcount import count_patterns
+from graphinv.invariants.patterns import PATTERN_CATALOG
 from graphinv.invariants.transport import TransportError
 from graphinv.linalg import NumericalError
 from graphinv.registry import (
@@ -24,6 +26,7 @@ from graphinv.registry import (
 )
 
 from conftest import (
+    circulant_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -31,6 +34,7 @@ from conftest import (
     path_graph,
     random_graph,
     random_permutation,
+    relabel,
     two_triangles,
 )
 from strategies import block_graphs
@@ -302,23 +306,32 @@ class TestHomomorphismBatch:
         assert calls == [2, 1, 1]
 
     def test_failure_lands_on_its_graph(self, monkeypatch):
-        # The union of a chunk reads every graph's adjacency matrix, so the
-        # poison graph makes the whole chunk raise; only its own block fails.
+        # The union of a chunk holds every graph of it, so the poison graph
+        # makes the whole chunk raise; only its own block fails.
         poison = two_triangles()
         graphs = [cycle_graph(5), complete_graph(4), poison, path_graph(5), cycle_graph(6)]
-        real = homcount.adjacency_matrix
+        real = homcount._Host.of
 
-        def adjacency_matrix(g):
-            if g is poison:
+        def of(cls, *chunk):
+            if any(g is poison for g in chunk):
                 raise RuntimeError("poison")
-            return real(g)
+            return real(*chunk)
 
-        monkeypatch.setattr(homcount, "adjacency_matrix", adjacency_matrix)
+        monkeypatch.setattr(homcount._Host, "of", classmethod(of))
         alone = [fingerprint(g, FULL) for g in graphs]
         table = fingerprint_dataset(graphs, FULL)
         assert_rows_equal(table, alone)
         hom = [d.name for d in FULL].index("homomorphism_counts")
         assert [row[hom] for row in table.statuses] == ["ok", "ok", "failed: RuntimeError: poison", "ok", "ok"]
+
+    def test_each_adjacency_matrix_built_once(self):
+        # The union sets its adjacency blocks from its own CSR, so only each
+        # graph's own blocks build its matrix.
+        rng = random.Random(5)
+        graphs = [erdos_renyi(30, 0.2, rng, id=f"g{i}") for i in range(10)]
+        adjacency_matrix.cache_clear()
+        fingerprint_dataset(graphs, FULL)
+        assert adjacency_matrix.cache_info().misses == 10
 
     def test_batch_closes_on_error(self, monkeypatch):
         import graphinv.registry as registry
@@ -351,3 +364,34 @@ class TestPermutationInvarianceProperty:
                     assert a.tolist() == b.tolist()
                 else:
                     assert np.allclose(a, b, rtol=1e-9, atol=1e-9, equal_nan=True), name
+
+
+class TestRegularPairs:
+    """Two d-regular graphs on n vertices tie wherever theory says: every
+    tree pattern F has n * d**|E(F)| homomorphisms into each, and every
+    block read off the vertex and edge counts or the degrees of the edge
+    ends is equal bit for bit."""
+
+    TREES = [i for i, p in enumerate(PATTERN_CATALOG) if len(p.edges) == p.n_vertices - 1]
+    TIED = tuple(d for d in FULL if d.name in {
+        "num_vertices", "num_edges", "density", "degree_entropy", "degree_mean_ratio",
+        "forman_ricci_mean", "forman_ricci_variance", "forman_ricci_skewness", "forman_ricci_kurtosis",
+        "randic", "general_randic_-1", "general_randic_0.5", "atom_bond_connectivity",
+        "geometric_arithmetic", "zagreb_first", "zagreb_second", "forgotten",
+    })
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_circulants_tie(self, data):
+        # Steps s <= (n - 1) / 2 never reach n / 2, so each adds 2 to every degree.
+        n = data.draw(st.integers(3, 24))
+        k = data.draw(st.integers(1, (n - 1) // 2))
+        same_size = st.sets(st.integers(1, (n - 1) // 2), min_size=k, max_size=k)
+        g, h = circulant_graph(n, data.draw(same_size)), circulant_graph(n, data.draw(same_size))
+        assert len(self.TREES) == 8 and len(self.TIED) == 17
+        for graph in (g, h):
+            want = [n * (2 * k) ** len(PATTERN_CATALOG[i].edges) for i in self.TREES]
+            assert count_patterns(graph, self.TREES) == want
+        for d, a, b in zip(self.TIED, fingerprint(g, self.TIED), fingerprint(h, self.TIED)):
+            assert a.status == b.status == "ok", d.name
+            assert a.values.tobytes() == b.values.tobytes(), d.name

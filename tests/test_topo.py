@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphinv.graph import adjacency_matrix, adjacency_sets, degree_vector, relabel
+from graphinv.graph import adjacency_matrix, adjacency_sets, degree_vector
 from graphinv.invariants import BlockFailure, homcount, topo
 from graphinv.invariants.homcount import count_all_patterns, count_patterns
 from graphinv.invariants.patterns import PATTERN_CATALOG
@@ -23,7 +23,6 @@ from graphinv.invariants.topo import (
     neighbourhood_power_trace,
     ollivier_ricci,
 )
-from graphinv.invariants.transport import wasserstein_1
 
 from conftest import (
     barabasi_albert,
@@ -36,6 +35,9 @@ from conftest import (
     path_graph,
     random_graph,
     random_permutation,
+    relabel,
+    rook_graph_4x4,
+    shrikhande_graph,
     star_graph,
 )
 from strategies import block_graphs
@@ -50,6 +52,8 @@ from oracles import (
     floyd_warshall,
     min_width_order,
     neighbourhood_power_trace as trace_by_matrix_powers,
+    treewidth,
+    wasserstein_1,
     wasserstein_exhaustive,
 )
 from test_transport import linprog_w1
@@ -293,6 +297,32 @@ class TestHomomorphismOracleProperties:
             for p in PATTERN_CATALOG
         ]
         assert count_all_patterns(g) == want
+
+
+class TestTreewidthSplit:
+    """Two graphs have equal homomorphism counts from every pattern of
+    treewidth at most k iff k-dimensional Weisfeiler-Leman does not tell
+    them apart (Dvořák 2010; Dell, Grohe and Rattan 2018). The 4x4 rook
+    graph and the Shrikhande graph are strongly regular with the same
+    parameters, so 2-dimensional WL does not, and only patterns of
+    treewidth 3 or more can separate them."""
+
+    TREEWIDTH = [treewidth(p.n_vertices, p.edges) for p in PATTERN_CATALOG]
+
+    def test_catalog_treewidths(self):
+        assert sum(w <= 2 for w in self.TREEWIDTH) == 24
+        assert self.TREEWIDTH.count(3) == 6
+        assert self.TREEWIDTH.count(4) == 1
+        assert self.TREEWIDTH[-1] == 4 and len(PATTERN_CATALOG[-1].edges) == 10  # K5
+
+    def test_rook_and_shrikhande_agree_below_treewidth_3(self):
+        rook, shrikhande = count_all_patterns(rook_graph_4x4()), count_all_patterns(shrikhande_graph())
+        low = [i for i, w in enumerate(self.TREEWIDTH) if w <= 2]
+        assert len(low) == 24
+        assert [rook[i] for i in low] == [shrikhande[i] for i in low]
+        k4 = next(i for i, p in enumerate(PATTERN_CATALOG) if p.n_vertices == 4 and len(p.edges) == 6)
+        assert self.TREEWIDTH[k4] == 3
+        assert shrikhande[k4] == 0 < rook[k4] == 192
 
 
 def tree_sides(p):

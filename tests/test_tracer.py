@@ -13,9 +13,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-from graphinv.graph import graph_to_obj, relabel
-
-from conftest import complete_graph, cycle_graph, erdos_renyi, path_graph, random_permutation, two_triangles
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    erdos_renyi,
+    graph_to_obj,
+    path_graph,
+    random_permutation,
+    relabel,
+    two_triangles,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 

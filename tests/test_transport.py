@@ -10,10 +10,10 @@ from scipy.optimize import linprog
 
 from graphinv.invariants import transport
 from graphinv.invariants.topo import ollivier_ricci
-from graphinv.invariants.transport import _bland, _least_cost_start, _tree, transport_cost, wasserstein_1
+from graphinv.invariants.transport import _bland, _least_cost_start, _tree, transport_cost
 
 from conftest import barabasi_albert, erdos_renyi
-from oracles import adjacency, degrees, floyd_warshall, ollivier_ricci_checked, wasserstein_exhaustive
+from oracles import adjacency, degrees, floyd_warshall, ollivier_ricci_checked, wasserstein_1, wasserstein_exhaustive
 
 
 def linprog_w1(mu, nu, cost):
