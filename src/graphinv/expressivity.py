@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph, GraphDataError, graph_from_obj, make_graph, read_jsonl
-from .registry import InvariantDescriptor, fingerprint_dataset, write_csv
+from .registry import InvariantDescriptor, fingerprint_dataset, float_cells, write_csv
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def export_heatmap(report: DifferentiationReport, path: str | Path) -> None:
         path,
         ["invariant", *report.pair_ids],
         (
-            [report.invariant_names[j], *(repr(float(x)) for x in report.max_rel_diff[:, j])]
+            [report.invariant_names[j], *float_cells(report.max_rel_diff[:, j])]
             for j in heatmap_row_order(report)
         ),
     )

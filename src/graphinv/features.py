@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, incidence_matrix
-from .registry import fingerprint_dataset, write_csv
+from .registry import fingerprint_dataset, float_cells, write_csv
 
 DEFAULT_HOPS = 3
 
@@ -104,9 +104,9 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
 
     body = []
     for i, (g, vec) in enumerate(zip(dataset, vecs)):
-        cells = [g.id] + [repr(float(x)) for x in vec]
+        cells = [g.id, *float_cells(vec)]
         if fingerprints is not None:
-            cells += fingerprints.value_cells(i) + list(fingerprints.statuses[i])
+            cells += float_cells(fingerprints.values[i]) + list(fingerprints.statuses[i])
         if has_labels:
             cells.append("" if g.label is None else _format_label(g.label))
         body.append(cells)

@@ -147,20 +147,20 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
     (Q - P) d_v at each neighbour of u; mu_v likewise around v. Only the
     signed difference mu_u - mu_v is moved, since W_1(mu, nu) =
     W_1((mu - nu)^+, (mu - nu)^-) under the graph metric, and sources with
-    equal cost rows (sinks with equal cost columns) are merged, their
-    masses summed. When u is a source and v a sink, min(excess_u, -excess_v)
-    first goes along the edge at cost 1. That is optimal: every source x
-    lies in B_1(u) and every sink y in B_1(v), so d(x, y) <= 1 + min(d(u, y),
-    d(x, v)), and as all common neighbours carry the sign of d_v - d_u,
-    d(u, y) = d(x, v) = 1 cannot hold together; uncrossing u -> y and
-    x -> v into u -> v and x -> y therefore never costs more. The rest is
-    one balanced integer instance, handed unchecked to
-    `transport.transport_cost` with its merged masses, cost rows and cost
-    columns; its least-cost start certifies itself as optimal for almost
-    every edge, and the basis tree is built only when a pivot is due. The
-    optimum C is then an exact integer and the value (L - C) / L is one
-    correctly rounded division, so it depends neither on the pivot order
-    nor on the vertex labels.
+    equal cost rows are merged, their masses summed. When u is a source
+    and v a sink, min(excess_u, -excess_v) first goes along the edge at
+    cost 1. That is optimal: every source x lies in B_1(u) and every sink
+    y in B_1(v), so d(x, y) <= 1 + min(d(u, y), d(x, v)), and as all
+    common neighbours carry the sign of d_v - d_u, d(u, y) = d(x, v) = 1
+    cannot hold together; uncrossing u -> y and x -> v into u -> v and
+    x -> y therefore never costs more. The rest is one balanced integer
+    instance, handed unchecked to `transport.transport_cost` with the
+    merged source masses, the sink masses and the merged cost rows; its
+    least-cost start certifies itself as optimal for almost every edge,
+    and the basis tree is built only when a pivot is due. The optimum C
+    is then an exact integer and the value (L - C) / L is one correctly
+    rounded division, so it depends neither on the pivot order nor on the
+    vertex labels.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"laziness must lie in [0, 1), got {alpha}")
@@ -190,12 +190,9 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
             if r > 0:
                 key = to_sinks(dist[x])
                 supply[key] = supply.get(key, 0) + r
-        demand: dict[tuple[int, ...], int] = {}  # cost column from the merged rows -> mass
-        for y, column in zip(sinks, zip(*supply)):
-            demand[column] = demand.get(column, 0) - excess[y]
         moved = routed
         if supply:
-            moved += transport_cost(list(supply.values()), list(demand.values()), list(zip(*demand)), list(demand))
+            moved += transport_cost(list(supply.values()), [-excess[y] for y in sinks], list(supply))
         values[e] = (scale - moved) / scale
     return edge_distribution(values)
 

@@ -111,16 +111,16 @@ def _bland(cf: list[int], pot: list[int], flow: dict[int, int], m: int, n: int) 
     return -1
 
 
-def transport_cost(supply: list[int], demand: list[int], cost_rows, cost_cols) -> int:
+def transport_cost(supply: list[int], demand: list[int], costs) -> int:
     """Exact optimum of the balanced instance moving `supply` (m,) to
-    `demand` (n,) at cost cost_rows[i][j] = cost_cols[j][i], all Python
-    ints with non-negative masses of equal totals. Nothing is checked."""
+    `demand` (n,) at cost costs[i][j], all Python ints with non-negative
+    masses of equal totals. Nothing is checked."""
     m, n = len(supply), len(demand)
     # Fewest cheap cells first (see the module docstring); a stable sort
     # keeps ties in index order also when reversed.
-    rows = sorted(range(m), key=list(map(sum, cost_rows)).__getitem__, reverse=True)
-    cols = sorted(range(n), key=list(map(sum, cost_cols)).__getitem__, reverse=True)
-    cf = [row[j] for row in map(cost_rows.__getitem__, rows) for j in cols]
+    rows = sorted(range(m), key=list(map(sum, costs)).__getitem__, reverse=True)
+    cols = sorted(range(n), key=list(map(sum, zip(*costs))).__getitem__, reverse=True)
+    cf = [row[j] for row in map(costs.__getitem__, rows) for j in cols]
     flow, pot = _least_cost_start(list(map(supply.__getitem__, rows)), list(map(demand.__getitem__, cols)), cf, n)
     # The start is optimal unless a cell prices negative under its own
     # potentials; only then does Bland's rule pivot, from the same basis.

@@ -20,6 +20,7 @@ from .registry import (
     InvariantDescriptor,
     RegimeConfig,
     fingerprint_dataset,
+    float_cells,
     write_csv,
     write_sidecar,
 )
@@ -103,8 +104,8 @@ def export_meta_csv(table: MetaTable, path: str | Path, config: RegimeConfig) ->
         path,
         fp.value_columns() + ["label", "split"],
         (
-            fp.value_cells(i) + [str(label), split]
-            for i, (label, split) in enumerate(zip(table.labels, table.splits))
+            float_cells(row) + [str(label), split]
+            for row, label, split in zip(fp.values, table.labels, table.splits)
         ),
     )
     write_sidecar(

@@ -239,8 +239,7 @@ def fingerprint(g: Graph, catalog: tuple[InvariantDescriptor, ...]) -> tuple[Inv
 class FingerprintTable:
     """The fingerprints of a batch of graphs, one row per graph: every
     command reads its invariant values from here. It alone names the
-    value and status columns, formats value cells (``repr`` of the
-    float, so ``nan`` and ``inf`` read back) and counts failed blocks."""
+    value and status columns and counts failed blocks."""
 
     catalog: tuple[InvariantDescriptor, ...]
     graph_ids: tuple[str, ...]
@@ -252,9 +251,6 @@ class FingerprintTable:
 
     def status_columns(self) -> list[str]:
         return [f"{d.name}.status" for d in self.catalog]
-
-    def value_cells(self, row: int) -> list[str]:
-        return [repr(x) for x in self.values[row].tolist()]
 
     def ok(self) -> np.ndarray:
         """(rows, blocks) bool: which blocks came out ``ok``."""
@@ -294,6 +290,11 @@ def fingerprint_dataset(
 # Serialization
 
 
+def float_cells(values: np.ndarray) -> list[str]:
+    """The one float cell format: ``repr`` of each value, so nan and inf read back."""
+    return list(map(repr, values.tolist()))
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
     """The one CSV writer: cells are quoted per RFC 4180 only when they
     hold a comma, a quote or a newline; lines end in a bare newline. A row
@@ -322,7 +323,7 @@ def write_fingerprint_csv(table: FingerprintTable, path: str | Path, config: Reg
     write_csv(
         path,
         header,
-        ([gid, *table.value_cells(i), *table.statuses[i]] for i, gid in enumerate(table.graph_ids)),
+        ([gid, *float_cells(table.values[i]), *table.statuses[i]] for i, gid in enumerate(table.graph_ids)),
     )
     write_sidecar(
         path, config,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,29 @@ def shrikhande_graph() -> Graph:
                     if u < v and ((a - c) % 4, (b - d) % 4) in diffs:
                         edges.append((u, v))
     return make_graph(16, edges, id="shrikhande")
+
+
+def cfi_pair(n: int, edges) -> tuple[Graph, Graph]:
+    """The vertex-only CFI graphs (Cai, Fürer and Immerman 1992) over the
+    base graph on n vertices with `edges`, untwisted and twisted. Their
+    vertices are (v, S) with S an even subset of the edges at v, and
+    (v, S) ~ (w, T) when vw is an edge and [vw in S] = [vw in T]; the
+    twisted copy flips that condition on the first edge."""
+    edges = [tuple(sorted(e)) for e in edges]
+    vertices = []
+    for v in range(n):
+        at = [e for e in edges if v in e]
+        vertices += [(v, set(s)) for k in range(0, len(at) + 1, 2) for s in combinations(at, k)]
+
+    def cfi(twisted: bool) -> Graph:
+        joined = []
+        for (a, (v, s)), (b, (w, t)) in combinations(enumerate(vertices), 2):
+            e = (min(v, w), max(v, w))
+            if e in edges and ((e in s) == (e in t)) != (twisted and e == edges[0]):
+                joined.append((a, b))
+        return make_graph(len(vertices), joined, id=f"cfi{n}{'-twisted' if twisted else ''}")
+
+    return cfi(False), cfi(True)
 
 
 def catalog_compute(name: str, regime: str = "full"):

@@ -505,14 +505,17 @@ def wasserstein_1(mu, nu, cost) -> int:
         raise ValueError("masses must be non-negative")
     if sa != sb:
         raise ValueError(f"unbalanced measures: masses sum to {sa} and {sb}")
-    return transport_cost(a, b, [cf[i * n:i * n + n] for i in range(m)], [cf[j::n] for j in range(n)])
+    return transport_cost(a, b, [cf[i * n:i * n + n] for i in range(m)])
 
 
 def ollivier_ricci_checked(n: int, edges, alpha: float) -> list[float]:
     """Per-edge Ollivier-Ricci curvature by the construction of
     `topo.ollivier_ricci` (exact fraction alpha = P/Q, the signed excess,
-    the edge's own mass routed first, equal cost rows and columns merged),
-    with every edge's instance passed to the checked `wasserstein_1`."""
+    the edge's own mass routed first, equal cost rows merged), with every
+    edge's instance passed to the checked `wasserstein_1`. Unlike the
+    package, this reference also merges sinks with equal cost columns, so
+    comparing the two checks one construction against another as well as
+    the unchecked entry against the checked one."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         nbrs[u].add(v)
@@ -537,12 +540,12 @@ def ollivier_ricci_checked(n: int, edges, alpha: float) -> list[float]:
             if r > 0:
                 key = tuple(int(dist[x][y]) for y in sinks)
                 supply[key] = supply.get(key, 0) + r
-        demand: dict[tuple[int, ...], int] = {}
+        sink_mass: dict[tuple[int, ...], int] = {}  # cost column -> merged mass
         for y, column in zip(sinks, zip(*supply)):
-            demand[column] = demand.get(column, 0) - excess[y]
+            sink_mass[column] = sink_mass.get(column, 0) - excess[y]
         moved = routed
         if supply:
-            moved += wasserstein_1(list(supply.values()), list(demand.values()), list(zip(*demand)))
+            moved += wasserstein_1(list(supply.values()), list(sink_mass.values()), list(zip(*sink_mass)))
         values.append((scale - moved) / scale)
     return values
 

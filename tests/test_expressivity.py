@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,12 +23,15 @@ from graphinv.invariants import BlockFailure
 from graphinv.registry import RegimeConfig, block, build_catalog, fingerprint
 
 from conftest import (
+    cfi_pair,
     cycle_graph,
     complete_graph,
     graph_to_obj,
     random_graph,
     random_permutation,
     relabel,
+    rook_graph_4x4,
+    shrikhande_graph,
     two_triangles,
 )
 from oracles import block_difference
@@ -175,6 +179,34 @@ class TestScorePairs:
         assert stats["Basic"]["size"] == 2 and stats["Basic"]["count"] == 1
         assert stats["Basic"]["accuracy"] == 0.5
         assert report.total_stats()["count"] == 2
+
+
+class TestForbiddenSplits:
+    """Rook/Shrikhande, CFI(K4) and CFI(K5) are 2-WL-equivalent pairs. That
+    fixes the degrees, both spectra and the coherent algebra of the
+    distance matrix, so every block read off those must tie. Only analytic
+    torsion, homomorphism counts from patterns of treewidth 3 or more
+    (Dvořák 2010; Dell, Grohe and Rattan 2018), Ollivier-Ricci curvature
+    and neighbourhood traces may split them. The splits are pinned as
+    measured."""
+
+    MAY_SPLIT = ("analytic_torsion", "homomorphism_counts", "ollivier_ricci_", "neighbourhood_trace_")
+    SPLITS = {
+        "full": [{"analytic_torsion", "homomorphism_counts", "ollivier_ricci_mean"}] * 2 + [{"homomorphism_counts"}],
+        "reduced": [{"ollivier_ricci_mean"}, {"ollivier_ricci_mean"}, set()],
+    }
+
+    @pytest.mark.parametrize("regime", ["full", "reduced"])
+    def test_only_blocks_beyond_2wl_split(self, regime):
+        pairs = [GraphPair(rook_graph_4x4(), shrikhande_graph(), "SR", "rook-shrikhande")]
+        for k in (4, 5):
+            pairs.append(GraphPair(*cfi_pair(k, combinations(range(k), 2)), "CFI", f"cfi-k{k}"))
+        report = score_pairs(pairs, build_catalog(RegimeConfig(regime=regime)), tol=1e-6)
+        assert not np.isnan(report.max_rel_diff).any()
+        splits = [{report.invariant_names[j] for j in np.flatnonzero(row)} for row in report.differentiated]
+        for pair, split in zip(pairs, splits):
+            assert all(name.startswith(self.MAY_SPLIT) for name in split), (pair.pair_id, split)
+        assert splits == self.SPLITS[regime]
 
 
 class TestGreedySubset:

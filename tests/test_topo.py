@@ -2,6 +2,7 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from graphinv.invariants.topo import (
 from conftest import (
     barabasi_albert,
     catalog_compute,
+    cfi_pair,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -314,6 +316,22 @@ class TestTreewidthSplit:
         assert self.TREEWIDTH.count(3) == 6
         assert self.TREEWIDTH.count(4) == 1
         assert self.TREEWIDTH[-1] == 4 and len(PATTERN_CATALOG[-1].edges) == 10  # K5
+
+    @pytest.mark.parametrize("k, differ", [
+        (4, {"F4e6[01,02,03,12,13,23]": (192, 0), "F5e7[01,02,03,04,12,13,23]": (1152, 0),
+             "F5e8[01,02,03,04,12,13,14,23]": (384, 0), "F5e9[01,02,03,04,12,13,14,23,24]": (192, 0)}),
+        (5, {"F5e10[01,02,03,04,12,13,14,23,24,34]": (7680, 0)}),
+    ])
+    def test_cfi_pairs_differ_only_from_patterns_as_wide_as_the_base(self, k, differ):
+        # CFI graphs over K_k, of treewidth k - 1, are (k - 2)-WL-equivalent,
+        # so they tie on every pattern of treewidth k - 2 or less, and
+        # hom(K_k, .) tells them apart (Roberson 2022).
+        g, h = cfi_pair(k, combinations(range(k), 2))
+        assert (g.n_vertices, g.n_edges) == (h.n_vertices, h.n_edges) == {4: (16, 48), 5: (40, 320)}[k]
+        a, b = count_all_patterns(g), count_all_patterns(h)
+        low = [i for i, w in enumerate(self.TREEWIDTH) if w <= k - 2]
+        assert [a[i] for i in low] == [b[i] for i in low]
+        assert {p.label: (x, y) for p, x, y in zip(PATTERN_CATALOG, a, b) if x != y} == differ
 
     def test_rook_and_shrikhande_agree_below_treewidth_3(self):
         rook, shrikhande = count_all_patterns(rook_graph_4x4()), count_all_patterns(shrikhande_graph())
@@ -606,18 +624,28 @@ class TestOllivierRicciExact:
             assert np.sort(ollivier_ricci(g).values).tobytes() == np.sort(ollivier_ricci(h).values).tobytes()
 
     def test_linear_in_alpha_above_one_over_max_degree(self, rng):
-        # Bourne-Cushing-Liu-Muench-Peyerimhoff 2018: kappa_alpha is linear on
-        # [1/(max(d_u, d_v) + 1), 1] and 0 at alpha = 1, so kappa_alpha / (1 -
-        # alpha) is one number for alpha >= 1/2. Each side is two roundings
-        # of it, so they differ by at most 4 units of 2**-53 relative.
-        for _ in range(30):
-            g = erdos_renyi(rng.randint(6, 14), rng.uniform(0.2, 0.6), rng)
+        # Bourne, Cushing, Liu, Münch and Peyerimhoff 2018: kappa_alpha is
+        # linear in alpha on [1/(max(d_u, d_v) + 1), 1] and 0 at alpha = 1,
+        # so kappa_alpha / (1 - alpha) is one number there; alpha = 1/2 is
+        # always in range. Each side is two roundings of that number, so
+        # they differ by at most 4 units of 2**-53 relative. Below the
+        # threshold some points must leave the line, or the check is vacuous.
+        graphs = [erdos_renyi(rng.randint(6, 14), rng.uniform(0.2, 0.6), rng) for _ in range(30)]
+        graphs += [barabasi_albert(rng.randint(20, 40), rng.randint(1, 3), rng) for _ in range(4)]
+        checked = off_line = 0
+        for g in graphs:
             if g.n_edges == 0:
                 continue
-            half = ollivier_ricci(g, 0.5).values / 0.5
-            for alpha in (0.625, 0.75):
-                other = ollivier_ricci(g, alpha).values / (1 - alpha)
-                assert np.all(np.abs(other - half) <= 4 * 2.0**-53 * np.abs(half))
+            deg = degree_vector(g)
+            threshold = np.array([1 / (max(deg[u], deg[v]) + 1) for u, v in g.edges])
+            line = ollivier_ricci(g, 0.5).values / 0.5
+            for alpha in (0.0, 0.125, 0.25, 0.625, 0.75, 0.875):
+                gap = np.abs(ollivier_ricci(g, alpha).values / (1 - alpha) - line)
+                above = alpha >= threshold
+                assert np.all(gap[above] <= 4 * 2.0**-53 * np.abs(line[above])), alpha
+                checked += above.sum()
+                off_line += np.sum(gap[~above] > 1e-12 * np.abs(line[~above]))
+        assert checked > 1000 and off_line > 100, (checked, off_line)
 
 
 class TestCurvatureMoments:

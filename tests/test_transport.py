@@ -256,7 +256,7 @@ class TestStartCertificate:
 
         with mock.patch.object(transport, "_least_cost_start", start), \
                 mock.patch.object(transport, "_tree", wraps=_tree) as tree:
-            got = transport_cost(*instance, list(zip(*instance[2])))
+            got = transport_cost(*instance)
         [(flow, cf, n)] = starts
         m = len(cf) // n
         accepted = not tree.called
@@ -265,10 +265,37 @@ class TestStartCertificate:
             assert got == sum(cf[cell] * f for cell, f in flow.items())
 
 
+class TestSplitting:
+    """`ollivier_ricci` hands the solver sinks with equal cost columns
+    unmerged, so equal rows or columns must cost nothing extra."""
+
+    @staticmethod
+    def split(masses, cost_lines, data):
+        """Split one line into two copies with the same costs, the copy put
+        at a drawn position, and its mass shared between the two."""
+        k = data.draw(st.integers(0, len(masses) - 1))
+        part = data.draw(st.integers(0, masses[k]))
+        at = data.draw(st.integers(0, len(masses)))
+        masses = masses[:k] + [masses[k] - part] + masses[k + 1:]
+        return masses[:at] + [part] + masses[at:], cost_lines[:at] + [cost_lines[k]] + cost_lines[at:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(balanced_instances(), st.data())
+    def test_splitting_a_row_or_a_column_leaves_the_cost(self, instance, data):
+        mu, nu, cost = instance
+        want = transport_cost(mu, nu, cost)
+        rows_mu, rows = self.split(mu, cost, data)
+        assert transport_cost(rows_mu, nu, rows) == want
+        cols_nu, cols = self.split(nu, [list(c) for c in zip(*cost)], data)
+        assert transport_cost(mu, cols_nu, [list(r) for r in zip(*cols)]) == want
+
+
 class TestUncheckedPath:
     """`ollivier_ricci` hands its instances to `transport_cost` unchecked;
-    each value must equal, bit for bit, the same construction solved by
-    the checked `wasserstein_1`."""
+    each value must equal, bit for bit, the reference construction solved
+    by the checked `wasserstein_1`. The reference also merges sinks with
+    equal cost columns and the package does not, so two constructions are
+    compared as well."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9])
     def test_bit_identical_to_checked_reference(self, rng, alpha):
