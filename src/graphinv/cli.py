@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .expressivity import export_heatmap, export_report_json, load_pairs, score_pairs
 from .features import FeatureConfig, write_features_csv
-from .graph import GraphDataError, load_jsonl
+from .graph import load_jsonl
 from .meta import (
     DEFAULT_SAMPLE_SIZE,
     DEFAULT_TEST_FRACTION,
@@ -23,7 +23,6 @@ from .meta import (
     nearest_centroid_accuracy,
 )
 from .registry import (
-    ConfigError,
     RegimeConfig,
     SCHEMA_VERSION,
     build_catalog,
@@ -226,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphDataError, ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GraphDataError and ConfigError are ValueErrors
         print(f"graphinv: {exc}", file=sys.stderr)
         return EXIT_DATA
 

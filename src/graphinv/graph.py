@@ -56,10 +56,16 @@ class Graph:
         return len(self.edges)
 
 
-def _feature_matrix(rows) -> np.ndarray:
-    """Rows as a float64 array; [] (which JSON gives for any matrix without
-    rows) is a 0 x 0 matrix."""
-    x = np.asarray(rows, dtype=np.float64)
+def _feature_matrix(rows, name: str) -> np.ndarray:
+    """Rows as a 2-d float64 array; [] (which JSON gives for any matrix
+    without rows) is a 0 x 0 matrix. Anything else that numpy cannot read
+    as a matrix of numbers is a GraphDataError that names the matrix."""
+    try:
+        x = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or x.ndim != 2 and x.shape != (0,):
+        raise GraphDataError(f"{name} is not a matrix of numbers")
     return x.reshape(0, 0) if x.shape == (0,) else x
 
 
@@ -92,12 +98,9 @@ def make_graph(
     canon = [(u, v) if u < v else (v, u) for u, v in raw]
 
     if edge_features is not None:
-        ef = _feature_matrix(edge_features)
-        if ef.ndim != 2 or ef.shape[0] != len(raw):
-            raise GraphDataError(
-                f"edge_features rows {ef.shape[0] if ef.ndim else 0} "
-                f"!= {len(raw)} edges"
-            )
+        ef = _feature_matrix(edge_features, "edge_features")
+        if ef.shape[0] != len(raw):
+            raise GraphDataError(f"edge_features rows {ef.shape[0]} != {len(raw)} edges")
         if len(set(canon)) != len(canon):
             raise GraphDataError("duplicate edges with edge features present")
         order = sorted(range(len(canon)), key=lambda k: canon[k])
@@ -109,12 +112,9 @@ def make_graph(
 
     nf = None
     if node_features is not None:
-        nf = _feature_matrix(node_features)
-        if nf.ndim != 2 or nf.shape[0] != n_vertices:
-            raise GraphDataError(
-                f"node_features rows {nf.shape[0] if nf.ndim else 0} "
-                f"!= {n_vertices} vertices"
-            )
+        nf = _feature_matrix(node_features, "node_features")
+        if nf.shape[0] != n_vertices:
+            raise GraphDataError(f"node_features rows {nf.shape[0]} != {n_vertices} vertices")
         nf = freeze(nf)
 
     return Graph(n_vertices, edge_tuple, nf, ef, id=id, label=label)
@@ -151,8 +151,8 @@ def _dataset(graphs: Iterable[Graph], name: str) -> GraphDataset:
 def read_jsonl(stream: IO | str | bytes, prefix: str = "line") -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, obj)`` for every non-blank line of a JSON-lines
     text, file or byte string, numbered from 1. A line that is not valid
-    JSON, or not a JSON object, raises :class:`GraphDataError` whose
-    message starts with ``f"{prefix} {lineno}"``."""
+    JSON (or nested too deeply to parse), or not a JSON object, raises
+    :class:`GraphDataError` whose message starts with ``f"{prefix} {lineno}"``."""
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
@@ -169,6 +169,8 @@ def read_jsonl(stream: IO | str | bytes, prefix: str = "line") -> Iterator[tuple
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise GraphDataError(f"{prefix} {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise GraphDataError(f"{prefix} {lineno}: invalid JSON (nested too deeply)") from None
         if not isinstance(obj, dict):
             raise GraphDataError(f"{prefix} {lineno}: not a JSON object")
         yield lineno, obj

@@ -2,9 +2,10 @@
 
 Every block in ``basic``, ``entropy``, ``indices`` and ``topo`` is a plain
 function of a graph: it returns its number or array, or it raises. A
-declared failure raises :class:`BlockFailure`. The catalog in
-``graphinv.registry`` alone names and sizes the blocks and turns what a
-block returns or raises into an :class:`InvariantValue`.
+declared failure raises :class:`BlockFailure` or a subclass (such as
+``linalg.NumericalError``). The catalog in ``graphinv.registry`` alone
+names and sizes the blocks and turns what a block returns or raises
+into an :class:`InvariantValue`.
 """
 
 from __future__ import annotations

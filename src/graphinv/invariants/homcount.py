@@ -89,14 +89,7 @@ class _Step:
     keep: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Plan:
-    pattern: Pattern
-    steps: tuple[_Step, ...]
-    width: int
-
-
-def _plan_for_order(pattern: Pattern, order: tuple[int, ...]) -> _Plan:
+def _plan_for_order(pattern: Pattern, order: tuple[int, ...]) -> tuple[_Step, ...]:
     nbrs: dict[int, set[int]] = {v: set() for v in range(pattern.n_vertices)}
     for u, v in pattern.edges:
         nbrs[u].add(v)
@@ -105,7 +98,6 @@ def _plan_for_order(pattern: Pattern, order: tuple[int, ...]) -> _Plan:
     steps: list[_Step] = []
     boundary: list[int] = []
     placed: set[int] = set()
-    width = 0
     for v in order:
         anchors = tuple(boundary.index(w) for w in sorted(nbrs[v] & placed))
         placed.add(v)
@@ -114,8 +106,7 @@ def _plan_for_order(pattern: Pattern, order: tuple[int, ...]) -> _Plan:
         keep = tuple(extended.index(w) for w in next_boundary)
         steps.append(_Step(anchors, keep))
         boundary = next_boundary
-        width = max(width, len(extended))
-    return _Plan(pattern, tuple(steps), width)
+    return tuple(steps)
 
 
 #: The vertex order of each catalog pattern's plan, in catalog order: of
@@ -309,18 +300,18 @@ def _totals(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host) -> n
     return totals
 
 
-def _walk(table, depth: int, members: list[tuple[int, _Plan]], host: _Host, out: list) -> None:
+def _walk(table, depth: int, members: list[tuple[int, tuple[_Step, ...]]], host: _Host, out: list) -> None:
     """Finish every plan in `members`, all of whose first `depth` steps
     produced `table`, writing its per-graph counts to `out` at its
     position."""
     if not len(table[1]):
         return  # no partial map survives: every count below is 0
-    children: dict[_Step, list[tuple[int, _Plan]]] = {}
+    children: dict[_Step, list[tuple[int, tuple[_Step, ...]]]] = {}
     for pos, plan in members:
-        if depth == len(plan.steps):
+        if depth == len(plan):
             out[pos] = table[1]
         else:
-            children.setdefault(plan.steps[depth], []).append((pos, plan))
+            children.setdefault(plan[depth], []).append((pos, plan))
     for step, group in children.items():
         _walk(_place(*table, step, host), depth + 1, group, host, out)
 

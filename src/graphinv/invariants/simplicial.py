@@ -1,30 +1,21 @@
-"""Clique-complex skeleton: simplices by dimension and oriented boundary
-incidence matrices, whose Gram matrices give the analytic torsion.
+"""The clique complex of a graph as its oriented boundary matrices, whose
+Gram matrices give the analytic torsion.
 
 Simplices are ordered lexicographically with orientation induced by
-sorted vertex ids, so every intermediate matrix is reproducible.
+sorted vertex ids, so every matrix is reproducible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..graph import Graph, adjacency_sets
 
 
-@dataclass(frozen=True)
-class SimplicialSkeleton:
-    """Simplices of the clique complex up to a dimension cap, plus the
-    boundary matrices B_p (B_0 = 0)."""
-
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]  # [dim][index] -> vertex tuple
-    boundaries: tuple[np.ndarray, ...]  # boundaries[p]: (#(p-1)-simplices, #p-simplices)
-
-
-def clique_complex(g: Graph, max_dim: int) -> SimplicialSkeleton:
-    """Enumerate cliques of size 1..max_dim+1 and their boundary matrices."""
+def clique_complex(g: Graph, max_dim: int) -> tuple[np.ndarray, ...]:
+    """The boundary matrices (B_0, ..., B_max_dim) of the cliques of size
+    1..max_dim+1: B_p is (#(p-1)-simplices, #p-simplices), and B_0 = 0 has
+    no rows."""
     adj = adjacency_sets(g)
     by_dim: list[tuple[tuple[int, ...], ...]] = [
         tuple((v,) for v in range(g.n_vertices)),
@@ -51,5 +42,5 @@ def clique_complex(g: Graph, max_dim: int) -> SimplicialSkeleton:
                 face = simplex[:i] + simplex[i + 1:]
                 b[faces[face], col] = (-1.0) ** i
         boundaries.append(b)
-    return SimplicialSkeleton(tuple(by_dim), tuple(boundaries))
+    return tuple(boundaries)
 

@@ -65,7 +65,7 @@ def analytic_torsion(g: Graph, max_dim: int = DEFAULT_TORSION_DIM) -> float:
     nonzero spectrum). Accumulated in log-space.
     """
     log_total = 0.0
-    for q, b in enumerate(clique_complex(g, max_dim).boundaries[1:], start=1):
+    for q, b in enumerate(clique_complex(g, max_dim)[1:], start=1):
         gram = b.T @ b if b.shape[1] <= b.shape[0] else b @ b.T
         log_total += (-1.0) ** (q + 1) * spectrum_log_pseudo_determinant(eigenvalues_sym(gram))
     return math.exp(log_total)

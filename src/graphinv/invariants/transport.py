@@ -32,10 +32,12 @@ so every reduced cost and mass update is exact and so is the optimum.
 
 from __future__ import annotations
 
+from . import BlockFailure
 
-class TransportError(RuntimeError):
+
+class TransportError(BlockFailure):
     """Transport solver failed to terminate (should not happen on balanced
-    inputs)."""
+    inputs): a declared block failure."""
 
 
 def _least_cost_start(a: list[int], b: list[int], cf: list[int], n: int) -> tuple[dict[int, int], list[int]]:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, degree_vector, freeze, per_graph
+from .invariants import BlockFailure
 
 
-class NumericalError(RuntimeError):
-    """Eigendecomposition or solve failure."""
+class NumericalError(BlockFailure):
+    """Eigendecomposition or solve failure: a declared block failure."""
 
 
 class SingularMatrixError(NumericalError):

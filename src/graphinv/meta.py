@@ -122,7 +122,6 @@ class CentroidResult:
     overall_accuracy: float
     per_label_accuracy: dict[int, float]
     confusion: np.ndarray  # (n_labels, n_labels), rows = true label
-    excluded_columns: tuple[int, ...]
 
 
 def nearest_centroid_accuracy(table: MetaTable) -> CentroidResult:
@@ -149,7 +148,6 @@ def nearest_centroid_accuracy(table: MetaTable) -> CentroidResult:
     usable = np.isfinite(mean) & np.isfinite(std) & (std > 0)
     if not usable.any():
         raise ValueError("nearest-centroid has no usable column: each is constant or NaN on train rows")
-    excluded = tuple(int(i) for i in np.flatnonzero(~usable))
 
     xz = np.where(np.isnan(x), mean, x)
     xz = (xz[:, usable] - mean[usable]) / std[usable]
@@ -167,4 +165,4 @@ def nearest_centroid_accuracy(table: MetaTable) -> CentroidResult:
     for k in range(n_labels):
         row = confusion[k].sum()
         per_label[k] = float(confusion[k, k] / row) if row else 0.0
-    return CentroidResult(overall, per_label, confusion, excluded)
+    return CentroidResult(overall, per_label, confusion)

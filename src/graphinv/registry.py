@@ -5,8 +5,8 @@ writers every command's output goes through.
 The catalog alone names and sizes the blocks, and its ``block`` helper
 alone turns what a block function returns or raises into an
 InvariantValue. A block's status is ``ok``, ``failed: <reason>`` for a
-declared failure (a BlockFailure, NumericalError or TransportError), or
-``failed: <Type>: <message>`` for any other exception.
+declared failure (a BlockFailure or a subclass), or ``failed: <Type>:
+<message>`` for any other exception.
 
 The catalog order is normative (basic, entropy, geometric/topological,
 indices) and stable across releases; any change bumps SCHEMA_VERSION,
@@ -28,8 +28,6 @@ import numpy as np
 from .graph import Graph, freeze
 from .invariants import OK, BlockFailure, InvariantValue
 from .invariants import basic, entropy, homcount, indices, topo
-from .invariants.transport import TransportError
-from .linalg import NumericalError
 
 SCHEMA_VERSION = "2"
 
@@ -102,9 +100,9 @@ class InvariantDescriptor:
 def block(name: str, fn: Callable[[Graph], object], width: int = 1) -> InvariantDescriptor:
     """The catalog entry of block function ``fn``. Its ``compute`` is the
     one place where a block's outcome becomes an InvariantValue: a value of
-    ``width`` numbers is ``ok``; a BlockFailure, NumericalError or
-    TransportError is ``failed: <message>``; any other exception is
-    ``failed: <Type>: <message>``."""
+    ``width`` numbers is ``ok``; a declared failure (a BlockFailure or a
+    subclass) is ``failed: <message>`` with its fill; any other exception
+    is ``failed: <Type>: <message>``."""
 
     def compute(g: Graph) -> InvariantValue:
         try:
@@ -113,8 +111,6 @@ def block(name: str, fn: Callable[[Graph], object], width: int = 1) -> Invariant
                 raise BlockFailure(f"width mismatch ({values.size} != {width})")
         except BlockFailure as exc:
             values, status = np.full(width, exc.fill), f"failed: {exc}"
-        except (NumericalError, TransportError) as exc:
-            values, status = np.full(width, np.nan), f"failed: {exc}"
         except Exception as exc:  # isolation: a failing block never aborts the row
             values, status = np.full(width, np.nan), f"failed: {type(exc).__name__}: {exc}"
         values.flags.writeable = False

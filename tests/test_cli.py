@@ -133,6 +133,51 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "not a JSON object" in err[0]
 
+    @pytest.mark.parametrize("command, depth", [("fingerprint", 100_000), ("expressivity", 5_000)])
+    def test_deeply_nested_line_is_data_error(self, tmp_path, capsys, command, depth):
+        # json.loads raises RecursionError, not JSONDecodeError, on such a line.
+        nested = "[" * depth + "]" * depth
+        graph = '{"num_nodes": 2, "edges": [[0, 1]]}'
+        bad = tmp_path / "bad.jsonl"
+        if command == "fingerprint":
+            bad.write_text(f'{{"num_nodes": 2, "edges": [[0, 1]], "x": {nested}}}\n')
+            outs = [tmp_path / "o.csv", tmp_path / "o.csv.meta.json"]
+            argv = ["fingerprint", "--dataset", str(bad), "--out", str(outs[0])]
+            prefix = "line"
+        else:
+            bad.write_text(f'{{"pair_id": "p", "left": {graph}, "right": {graph}, "x": {nested}}}\n')
+            outs = [tmp_path / "report.json", tmp_path / "heatmap.csv"]
+            argv = ["expressivity", "--pairs", str(bad), "--report", str(outs[0]), "--heatmap", str(outs[1])]
+            prefix = "pairs line"
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [f"graphinv: {prefix} 1: invalid JSON (nested too deeply)"]
+        assert not any(path.exists() for path in outs)
+
+    @pytest.mark.parametrize("command", ["features", "expressivity"])
+    @pytest.mark.parametrize("matrix, cells", [
+        ("node_features", {"x": 1}),
+        ("node_features", [[1.0], [10**400]]),
+        ("edge_features", "abc"),
+        ("node_features", [1.0, 2.0]),
+        ("edge_features", 1.5),
+    ], ids=["dict", "401-digit-int", "string", "vector", "scalar"])
+    def test_feature_matrix_of_non_numbers_is_data_error(self, tmp_path, capsys, command, matrix, cells):
+        graph = {"id": "gx", "num_nodes": 2, "edges": [[0, 1]], matrix: cells}
+        bad = tmp_path / "bad.jsonl"
+        out = tmp_path / "o.csv"
+        if command == "features":
+            bad.write_text(json.dumps(graph) + "\n")
+            argv = ["features", "--dataset", str(bad), "--out", str(out)]
+        else:
+            bad.write_text(json.dumps({"pair_id": "p", "left": graph, "right": {"num_nodes": 2, "edges": [[0, 1]]}}) + "\n")
+            argv = ["expressivity", "--pairs", str(bad), "--report", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"graphinv: graph 'gx': {matrix} is not a matrix of numbers"]
+        assert not out.exists()
+
     def test_strict_escalates_failures(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "edgeless", "num_nodes": 3, "edges": []}\n')

@@ -146,10 +146,14 @@ class TestNearestCentroid:
         assert res.overall_accuracy == np.trace(res.confusion) / res.confusion.sum()
 
     def test_zero_variance_column_excluded(self):
-        rows = fingerprints([[1.0, float(i % 2)] for i in range(6)])
-        t = MetaTable(rows, (0, 1, 0, 1, 0, 1), ("train",) * 4 + ("test",) * 2, ("a", "b"), 0)
-        res = nearest_centroid_accuracy(t)
-        assert 0 in res.excluded_columns
+        # Left in, the constant column would divide by a zero std and make
+        # every distance NaN.
+        labels, splits = (0, 1, 0, 1, 0, 1), ("train",) * 4 + ("test",) * 2
+        with_constant = self._table([[1.0, float(i % 2)] for i in range(6)], labels, splits)
+        without = self._table([[float(i % 2)] for i in range(6)], labels, splits)
+        res, ref = nearest_centroid_accuracy(with_constant), nearest_centroid_accuracy(without)
+        assert res.overall_accuracy == ref.overall_accuracy == 1.0
+        assert np.array_equal(res.confusion, ref.confusion)
 
     def test_nan_imputed_to_train_mean(self):
         matrix = [[0.0], [10.0], [np.nan], [10.0], [0.1], [np.nan]]

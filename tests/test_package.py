@@ -41,3 +41,33 @@ def test_no_public_name_is_test_only():
     # A function only the tests call belongs with the tests
     # (tests/conftest.py, tests/oracles.py).
     assert unreferenced_public_names() == []
+
+
+def unread_dataclass_fields() -> list[str]:
+    """``Class.field`` for each annotated field of a ``@dataclass`` in the
+    package whose name no package code reads, as an attribute or as a
+    string constant (``getattr(obj, "field")``)."""
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.rglob("*.py")]
+    fields = [
+        (node.name, item.target.id)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def test_every_dataclass_field_is_read():
+    # A field nothing reads is dead weight on every instance, and a test
+    # that reads it checks what the program never uses.
+    assert unread_dataclass_fields() == []
