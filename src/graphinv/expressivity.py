@@ -158,8 +158,8 @@ def export_report_json(report: DifferentiationReport, path: str | Path) -> None:
 
 
 def parse_pairs_jsonl(stream) -> list[GraphPair]:
-    """Pairs file: one JSON object {pair_id, category, left, right} per line,
-    where left/right follow the dataset graph schema."""
+    """Pairs text stream: one JSON object {pair_id, category, left, right}
+    per line, where left/right follow the dataset graph schema."""
     pairs = []
     for lineno, obj in read_jsonl(stream, prefix="pairs line"):
         pair_id = str(obj.get("pair_id", f"pair{lineno - 1}"))

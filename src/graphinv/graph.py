@@ -12,7 +12,6 @@ once, and ``connected_components`` is read off its distance matrix.
 from __future__ import annotations
 
 import functools
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,11 +57,15 @@ class Graph:
 
 def _feature_matrix(rows, name: str) -> np.ndarray:
     """Rows as a 2-d float64 array; [] (which JSON gives for any matrix
-    without rows) is a 0 x 0 matrix. Anything else that numpy cannot read
-    as a matrix of numbers is a GraphDataError that names the matrix."""
+    without rows) is a 0 x 0 matrix. Anything else that is not a matrix of
+    numbers, such as true, null or string cells, is a GraphDataError that
+    names the matrix. numpy promotes a bool among numbers to 0 or 1."""
     try:
-        x = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+        x = np.asarray(rows)
+        # JSON integers past int64 arrive as Python ints in an object array.
+        numbers = x.dtype.kind in "fiu" or all(type(c) in (int, float) for c in x.flat)
+        x = x.astype(np.float64, copy=False) if numbers else None
+    except (ValueError, OverflowError):
         x = None
     if x is None or x.ndim != 2 and x.shape != (0,):
         raise GraphDataError(f"{name} is not a matrix of numbers")
@@ -148,20 +151,12 @@ def _dataset(graphs: Iterable[Graph], name: str) -> GraphDataset:
 # JSON-lines parser
 
 
-def read_jsonl(stream: IO | str | bytes, prefix: str = "line") -> Iterator[tuple[int, dict]]:
+def read_jsonl(stream: IO[str], prefix: str = "line") -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, obj)`` for every non-blank line of a JSON-lines
-    text, file or byte string, numbered from 1. A line that is not valid
-    JSON (or nested too deeply to parse), or not a JSON object, raises
+    text stream, numbered from 1. A line that is not valid JSON (or nested
+    too deeply to parse), or not a JSON object, raises
     :class:`GraphDataError` whose message starts with ``f"{prefix} {lineno}"``."""
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        # Split at "\n", "\r\n" and "\r" only, as a file read in text mode
-        # is; str.splitlines would also split at U+2028 and other breaks.
-        stream = io.StringIO(stream, newline=None)
     for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         line = line.strip()
         if not line:
             continue
@@ -203,17 +198,18 @@ def graph_from_obj(obj: dict, default_id: str) -> Graph:
         raise GraphDataError(f"graph {gid!r}: {exc}") from None
 
 
-def parse_jsonl_dataset(stream: IO | str | bytes, name: str = "") -> GraphDataset:
-    """Parse a JSON-lines dataset, one graph object per line, preserving order."""
+def parse_jsonl_dataset(stream: IO[str], name: str = "") -> GraphDataset:
+    """Parse a JSON-lines dataset text stream, one graph object per line,
+    preserving order."""
     graphs = [graph_from_obj(obj, default_id=f"g{lineno - 1}") for lineno, obj in read_jsonl(stream)]
     return _dataset(graphs, name=name)
 
 
-def load_jsonl(path: str | Path, name: str = "") -> GraphDataset:
-    """Load a ``.jsonl`` dataset file."""
+def load_jsonl(path: str | Path) -> GraphDataset:
+    """Load a ``.jsonl`` dataset file, named after its stem."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_jsonl_dataset(fh, name=name or path.stem)
+        return parse_jsonl_dataset(fh, name=path.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,13 @@ class TestExitCodes:
         ("edge_features", "abc"),
         ("node_features", [1.0, 2.0]),
         ("edge_features", 1.5),
-    ], ids=["dict", "401-digit-int", "string", "vector", "scalar"])
+        ("node_features", [[True], [None]]),
+        ("node_features", [["2.5"], ["1"]]),
+        ("edge_features", [[True]]),
+        ("edge_features", [[None]]),
+        ("edge_features", [["2.5"]]),
+    ], ids=["dict", "401-digit-int", "string", "vector", "scalar",
+            "true-null", "string-cells", "edge-true", "edge-null", "edge-string-cell"])
     def test_feature_matrix_of_non_numbers_is_data_error(self, tmp_path, capsys, command, matrix, cells):
         graph = {"id": "gx", "num_nodes": 2, "edges": [[0, 1]], matrix: cells}
         bad = tmp_path / "bad.jsonl"
@@ -177,6 +183,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"graphinv: graph 'gx': {matrix} is not a matrix of numbers"]
         assert not out.exists()
+
+    def test_feature_cells_past_int64_still_load(self, tmp_path):
+        # JSON integers too large for int64 are still numbers.
+        data = tmp_path / "big.jsonl"
+        data.write_text(json.dumps({"id": "gx", "num_nodes": 2, "edges": [[0, 1]],
+                                    "node_features": [[2**70], [0]]}) + "\n")
+        out = tmp_path / "o.csv"
+        assert main(["features", "--dataset", str(data), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == ["graph_id,sum.0.0", "gx,1.1805916207174113e+21"]
 
     def test_strict_escalates_failures(self, tmp_path):
         path = tmp_path / "d.jsonl"

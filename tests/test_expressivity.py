@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from itertools import combinations
@@ -308,7 +309,7 @@ class TestPairInputs:
         line = json.dumps(
             {"pair_id": "x", "category": "Basic", "left": graph_to_obj(g), "right": graph_to_obj(h)}
         )
-        pairs = parse_pairs_jsonl(line)
+        pairs = parse_pairs_jsonl(io.StringIO(line, newline=None))
         assert len(pairs) == 1
         assert pairs[0].left.edges == g.edges
         assert pairs[0].category == "Basic"
@@ -322,7 +323,7 @@ class TestPairInputs:
     ])
     def test_malformed_pair_rejected(self, line, message):
         with pytest.raises(GraphDataError, match=message):
-            parse_pairs_jsonl(line)
+            parse_pairs_jsonl(io.StringIO(line, newline=None))
 
     def test_graph6_k4(self):
         g = graph6_to_graph(b"C~")

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -165,7 +166,8 @@ class TestEdgelessInFeaturedDataset:
           "node_features": [[1.0], [2.0]], "edge_features": [[3.0, 4.0]]}
 
     def rows(self, tmp_path, mode, other):
-        ds = parse_jsonl_dataset("\n".join(json.dumps(o) for o in (self.K2, other)))
+        text = "\n".join(json.dumps(o) for o in (self.K2, other))
+        ds = parse_jsonl_dataset(io.StringIO(text, newline=None))
         path = tmp_path / "rows.csv"
         write_features_csv(ds, FeatureConfig(mode=mode, hops=2), None, path)
         with open(path, newline="") as fh:

@@ -71,3 +71,52 @@ def test_every_dataclass_field_is_read():
     # A field nothing reads is dead weight on every instance, and a test
     # that reads it checks what the program never uses.
     assert unread_dataclass_fields() == []
+
+
+def unpassed_optional_parameters() -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a
+    function in the package (``__init__`` under its class's name) that no
+    call in the package passes, by keyword or by position. Calls are
+    matched to functions by name, as ``f(...)`` or ``obj.f(...)``."""
+    trees = {path.relative_to(PACKAGE).with_suffix("").as_posix(): ast.parse(path.read_text())
+             for path in PACKAGE.rglob("*.py")}
+    optional = []  # (module, name, parameter, position among a call's arguments or None)
+    for module, tree in trees.items():
+        owner = {item: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(node)
+            name = cls.name if cls and node.name == "__init__" else node.name
+            # A call to a method passes the arguments after self.
+            skip = 1 if cls and "staticmethod" not in map(ast.unparse, node.decorator_list) else 0
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            optional += [(module, name, p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+            optional += [(module, name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    passed_by_keyword, most_positional, passes_all = set(), {}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if any(isinstance(arg, ast.Starred) for arg in node.args) or any(k.arg is None for k in node.keywords):
+                passes_all.add(name)
+            passed_by_keyword |= {(name, k.arg) for k in node.keywords}
+            most_positional[name] = max(most_positional.get(name, 0), len(node.args))
+    return sorted(
+        f"{module}.{name}({param})"
+        for module, name, param, position in optional
+        if name not in passes_all
+        and (name, param) not in passed_by_keyword
+        and (position is None or most_positional.get(name, 0) <= position)
+    )
+
+
+def test_every_optional_parameter_is_passed():
+    # A default that every call takes is a constant dressed as an option.
+    # cli.main's argv is passed by the tests and the benchmark; the
+    # console entry point calls main().
+    assert [p for p in unpassed_optional_parameters() if p != "cli.main(argv)"] == []

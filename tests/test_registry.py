@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import re
 import weakref
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphinv.graph import GraphDataset, adjacency_matrix, make_graph
-from graphinv.invariants import BlockFailure, homcount
+from graphinv import graph, linalg
+from graphinv.graph import GraphDataset, make_graph
+from graphinv.invariants import BlockFailure, homcount, topo
 from graphinv.invariants.homcount import count_patterns
 from graphinv.invariants.patterns import PATTERN_CATALOG
 from graphinv.invariants.transport import TransportError
@@ -26,6 +28,7 @@ from graphinv.registry import (
 )
 
 from conftest import (
+    barabasi_albert,
     circulant_graph,
     complete_graph,
     cycle_graph,
@@ -324,14 +327,25 @@ class TestHomomorphismBatch:
         hom = [d.name for d in FULL].index("homomorphism_counts")
         assert [row[hom] for row in table.statuses] == ["ok", "ok", "failed: RuntimeError: poison", "ok", "ok"]
 
-    def test_each_adjacency_matrix_built_once(self):
-        # The union sets its adjacency blocks from its own CSR, so only each
-        # graph's own blocks build its matrix.
+    @pytest.mark.parametrize("catalog", [FULL, REDUCED], ids=["full", "reduced"])
+    def test_each_shared_primitive_built_once(self, catalog):
+        # The one-slot per_graph cache must not drop a graph's primitive
+        # before its last block reads it. The union sets its adjacency
+        # blocks from its own CSR, so only each graph's own blocks build
+        # its matrix.
+        primitives = {
+            f"{module.__name__}.{name}": getattr(module, name)
+            for module in (graph, linalg, topo)
+            for name in re.findall(r"^@per_graph\ndef (\w+)", Path(module.__file__).read_text(), re.M)
+        }
+        assert len(primitives) == 13
         rng = random.Random(5)
-        graphs = [erdos_renyi(30, 0.2, rng, id=f"g{i}") for i in range(10)]
-        adjacency_matrix.cache_clear()
-        fingerprint_dataset(graphs, FULL)
-        assert adjacency_matrix.cache_info().misses == 10
+        graphs = [erdos_renyi(30, 0.2, rng, id=f"g{i}") for i in range(6)]
+        graphs += [barabasi_albert(40, 3, rng, id=f"b{i}") for i in range(4)]
+        for f in primitives.values():
+            f.cache_clear()
+        fingerprint_dataset(graphs, catalog)
+        assert {name: f.cache_info().misses for name, f in primitives.items()} == dict.fromkeys(primitives, 10)
 
     def test_batch_closes_on_error(self, monkeypatch):
         import graphinv.registry as registry
