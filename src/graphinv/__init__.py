@@ -9,7 +9,7 @@ from .graph import (  # noqa: F401
     GraphDataError,
     UNREACHABLE,
     bfs_all_pairs,
-    connected_components,
+    component_count,
     degree_vector,
     load_jsonl,
     make_graph,

@@ -6,7 +6,7 @@ Graphs are finite, undirected, without self-loops. Vertices are dense
 construction and safe to share across threads.
 
 There is one traversal: ``bfs_all_pairs`` searches from every vertex at
-once, and ``connected_components`` is read off its distance matrix.
+once, and ``component_count`` is read off its distance matrix.
 """
 
 from __future__ import annotations
@@ -137,16 +137,6 @@ class GraphDataset:
         return iter(self.graphs)
 
 
-def _dataset(graphs: Iterable[Graph], name: str) -> GraphDataset:
-    graphs = tuple(graphs)
-    seen: set[str] = set()
-    for g in graphs:
-        if g.id in seen:
-            raise GraphDataError(f"duplicate graph id {g.id!r} in dataset {name!r}")
-        seen.add(g.id)
-    return GraphDataset(graphs, name=name)
-
-
 # ---------------------------------------------------------------------------
 # JSON-lines parser
 
@@ -200,9 +190,14 @@ def graph_from_obj(obj: dict, default_id: str) -> Graph:
 
 def parse_jsonl_dataset(stream: IO[str], name: str = "") -> GraphDataset:
     """Parse a JSON-lines dataset text stream, one graph object per line,
-    preserving order."""
+    preserving order. Graph ids must be unique."""
     graphs = [graph_from_obj(obj, default_id=f"g{lineno - 1}") for lineno, obj in read_jsonl(stream)]
-    return _dataset(graphs, name=name)
+    seen: set[str] = set()
+    for g in graphs:
+        if g.id in seen:
+            raise GraphDataError(f"duplicate graph id {g.id!r} in dataset {name!r}")
+        seen.add(g.id)
+    return GraphDataset(tuple(graphs), name=name)
 
 
 def load_jsonl(path: str | Path) -> GraphDataset:
@@ -284,18 +279,11 @@ def bfs_all_pairs(g: Graph) -> np.ndarray:
 
 
 @per_graph
-def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Component count and a per-vertex component label.
-
-    Labels number the components in the order a scan over the vertices
-    first meets them. Each row's smallest reachable vertex names its
-    component; the roots are the vertices that name their own.
-    """
-    n = g.n_vertices
-    vertices = np.arange(n)
+def component_count(g: Graph) -> int:
+    """Number of connected components: one per vertex that is the
+    smallest vertex it reaches."""
+    vertices = np.arange(g.n_vertices)
     reach = bfs_all_pairs(g) != UNREACHABLE
-    # initial=n keeps the empty graph valid (no row to reduce).
-    first = np.where(reach, vertices, n).min(axis=1, initial=n)
-    roots = np.flatnonzero(first == vertices)
-    return int(roots.size), tuple(np.searchsorted(roots, first).tolist())
-
+    # initial keeps the empty graph valid (no row to reduce).
+    first = np.where(reach, vertices, g.n_vertices).min(axis=1, initial=g.n_vertices)
+    return int(np.count_nonzero(first == vertices))

@@ -14,7 +14,7 @@ from ..graph import (
     UNREACHABLE,
     adjacency_matrix,
     bfs_all_pairs,
-    connected_components,
+    component_count,
     degree_vector,
 )
 from ..linalg import (
@@ -36,8 +36,7 @@ def num_edges(g: Graph) -> int:
 
 
 def circuit_rank(g: Graph) -> int:
-    n_connect, _ = connected_components(g)
-    return g.n_edges - g.n_vertices + n_connect
+    return g.n_edges - g.n_vertices + component_count(g)
 
 
 def _eccentricities(g: Graph) -> np.ndarray:
@@ -98,9 +97,9 @@ def algebraic_connectivity(g: Graph) -> float:
 
 
 def _log_spanning_trees(g: Graph) -> float | None:
-    """log of the matrix-tree count for connected graphs, None if disconnected."""
-    n_connect, _ = connected_components(g)
-    if g.n_vertices == 0 or n_connect != 1:
+    """log of the matrix-tree count for connected graphs, None otherwise
+    (the empty graph has no component)."""
+    if component_count(g) != 1:
         return None
     return float(spectrum_log_pseudo_determinant(laplacian_spectrum(g)) - np.log(g.n_vertices))
 

@@ -17,8 +17,6 @@ def degree_entropy(g: Graph) -> float:
     """
     deg = degree_vector(g)
     n = g.n_vertices
-    if n == 0:
-        return 0.0
     total = 0.0
     counts = np.bincount(deg, minlength=n)
     for k in range(1, n):

@@ -24,9 +24,7 @@ def _finite_dist(g: Graph) -> np.ndarray:
 
 def _edge_degrees(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     deg = degree_vector(g).astype(np.float64)
-    if g.n_edges == 0:
-        return np.zeros(0), np.zeros(0)
-    e = np.asarray(g.edges)
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
     return deg[e[:, 0]], deg[e[:, 1]]
 
 
@@ -42,27 +40,25 @@ def hyper_wiener(g: Graph) -> float:
 
 def randic(g: Graph) -> float:
     du, dv = _edge_degrees(g)
-    return np.sum(1.0 / np.sqrt(du * dv)) if du.size else 0.0
+    return np.sum(1.0 / np.sqrt(du * dv))
 
 
 def general_randic(g: Graph, c: float) -> float:
     du, dv = _edge_degrees(g)
-    return np.sum((du * dv) ** c) if du.size else 0.0
+    return np.sum((du * dv) ** c)
 
 
 def atom_bond_connectivity(g: Graph) -> float:
     du, dv = _edge_degrees(g)
-    return np.sum(np.sqrt((du + dv - 2.0) / (du * dv))) if du.size else 0.0
+    return np.sum(np.sqrt((du + dv - 2.0) / (du * dv)))
 
 
 def geometric_arithmetic(g: Graph) -> float:
     du, dv = _edge_degrees(g)
-    return np.sum(2.0 * np.sqrt(du * dv) / (du + dv)) if du.size else 0.0
+    return np.sum(2.0 * np.sqrt(du * dv) / (du + dv))
 
 
 def estrada(g: Graph) -> float:
-    if g.n_vertices == 0:
-        return 0.0
     return np.sum(np.exp(eigenvalues_sym(adjacency_matrix(g))))
 
 
@@ -73,7 +69,7 @@ def zagreb_first(g: Graph) -> float:
 
 def zagreb_second(g: Graph) -> float:
     du, dv = _edge_degrees(g)
-    return np.sum(du * dv) if du.size else 0.0
+    return np.sum(du * dv)
 
 
 def forgotten(g: Graph) -> float:
@@ -116,10 +112,8 @@ def szeged(g: Graph) -> float:
 def balaban(g: Graph) -> float:
     """n_E / (rank + 1) times the sum over edges of the inverse square
     root of the endpoints' finite-distance sums."""
-    if g.n_edges == 0:
-        return 0.0
     d = _finite_dist(g)
     row_sums = d.sum(axis=1)
-    e = np.asarray(g.edges)
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
     terms = 1.0 / np.sqrt(row_sums[e[:, 0]] * row_sums[e[:, 1]])
     return g.n_edges / (circuit_rank(g) + 1.0) * terms.sum()

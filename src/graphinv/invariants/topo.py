@@ -12,13 +12,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ..graph import Graph, UNREACHABLE, adjacency_matrix, adjacency_sets, bfs_all_pairs, degree_vector, per_graph
-from ..linalg import (
-    SingularMatrixError,
-    eigenvalues_sym,
-    laplacian_pseudoinverse,
-    solve_linear,
-    spectrum_log_pseudo_determinant,
-)
+from ..linalg import eigenvalues_sym, laplacian_pseudoinverse, spectrum_log_pseudo_determinant
 from . import BlockFailure
 from .homcount import count_all_patterns, overflows_int64
 from .patterns import PATTERN_CATALOG
@@ -37,19 +31,20 @@ def magnitude(g: Graph, q: float = DEFAULT_MAGNITUDE_Q) -> float:
     """Sum of all entries of Z(q)^{-1} with Z_ij = q^{d(i,j)}.
 
     Cross-component entries take q^inf = 0. Computed via one linear solve
-    Z x = 1 (the magnitude is sum(x)), not a full inversion.
+    Z x = 1 (the magnitude is sum(x)), not a full inversion; Z is singular
+    when the solve fails or leaves a residual above 1e-8 ||1||.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"magnitude scale q must be in (0, 1), got {q}")
-    n = g.n_vertices
-    if n == 0:
-        return 0.0
     dist = bfs_all_pairs(g)
     z = np.where(dist == UNREACHABLE, 0.0, np.power(q, dist, dtype=np.float64))
+    ones = np.ones(g.n_vertices)
     try:
-        x = solve_linear(z, np.ones(n))
-    except SingularMatrixError:
-        raise BlockFailure("singular magnitude matrix") from None
+        x = np.linalg.solve(z, ones)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or np.linalg.norm(z @ x - ones) > 1e-8 * np.linalg.norm(ones):
+        raise BlockFailure("singular magnitude matrix")
     return float(np.sum(x))
 
 

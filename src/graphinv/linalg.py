@@ -1,13 +1,13 @@
 """Dense symmetric linear algebra on plain float64 arrays: eigenvalues,
-pseudoinverse, log pseudo-determinant and linear solves, plus the graph
-Laplacians and their spectra.
+pseudoinverse and log pseudo-determinant, plus the graph Laplacians and
+their spectra.
 
-Every matrix passed in is exactly symmetric (adjacency, Laplacians, the
-magnitude matrix and boundary Gram matrices are, bit for bit), so
-nothing is symmetrized on the way in. Every matrix and spectrum handed
-out is read-only. Everything here is dense; the invariant suite targets
-graphs of modest order, and dense eigh keeps results bit-deterministic
-for identical input bits.
+Every matrix passed in is exactly symmetric (adjacency, Laplacians and
+boundary Gram matrices are, bit for bit), so nothing is symmetrized on
+the way in. Every matrix and spectrum handed out is read-only.
+Everything here is dense; the invariant suite targets graphs of modest
+order, and dense eigh keeps results bit-deterministic for identical
+input bits.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from .invariants import BlockFailure
 
 
 class NumericalError(BlockFailure):
-    """Eigendecomposition or solve failure: a declared block failure."""
-
-
-class SingularMatrixError(NumericalError):
-    """Matrix singular to working tolerance."""
+    """Eigendecomposition failure: a declared block failure."""
 
 
 def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
@@ -68,25 +64,7 @@ def spectrum_log_pseudo_determinant(lam: np.ndarray) -> float:
     eigenvalues are positive.
     """
     keep = lam[np.abs(lam) > default_rank_tol(lam)]
-    return float(np.sum(np.log(keep))) if keep.size else 0.0
-
-
-def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``m x = rhs``; raises SingularMatrixError when the residual
-    exceeds ``1e-8 * ||rhs||``."""
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (len(m),):
-        raise ValueError(f"rhs length {rhs.shape} incompatible with order {len(m)}")
-    try:
-        x = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(f"singular matrix of order {len(m)}") from None
-    residual = np.linalg.norm(m @ x - rhs)
-    if residual > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-        raise SingularMatrixError(
-            f"matrix of order {len(m)} singular to tolerance (residual {residual:.3e})"
-        )
-    return x
+    return float(np.sum(np.log(keep)))
 
 
 # ---------------------------------------------------------------------------

@@ -459,17 +459,29 @@ class TestOneFingerprintTable:
 
 
 class TestImportCost:
+    def run_python(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
     def test_cli_import_leaves_heavy_modules_unloaded(self):
         # Every command starts by importing the CLI, so these would add to
         # each run's start-up time and memory; only tests and the benchmark's
         # oracle checks need them.
         heavy = ["scipy", "hypothesis", "fractions", "decimal"]
         code = f"import sys, graphinv.cli; print([m for m in {heavy!r} if m in sys.modules])"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert self.run_python("-c", code).stdout.strip() == "[]"
+
+    def test_cli_import_times_patterns_module(self):
+        # The benchmark's setup.patterns_import_s reads this module's line
+        # of -X importtime (perfbench/run.py); the pattern catalog must stay
+        # a module of its own that the CLI imports.
+        proc = self.run_python("-X", "importtime", "-c", "import graphinv.cli")
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                   if line.startswith("import time:")]
+        assert "graphinv.invariants.patterns" in modules
 
 
 class TestCommandLineContract:

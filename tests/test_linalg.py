@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from graphinv.linalg import (
-    SingularMatrixError,
     eigenvalues_sym,
     laplacian,
     laplacian_pseudoinverse,
@@ -13,7 +12,6 @@ from graphinv.linalg import (
     normalized_laplacian,
     normalized_laplacian_spectrum,
     pseudoinverse,
-    solve_linear,
     spectrum_log_pseudo_determinant,
 )
 
@@ -53,12 +51,12 @@ class TestEigenvalues:
             assert lam.min() >= -1e-9 and lam.max() <= 2 + 1e-9
 
     def test_connected_laplacian_has_one_zero(self, rng):
-        from graphinv.graph import connected_components
+        from graphinv.graph import component_count
 
         seen = 0
         while seen < 25:
             g = random_graph(rng, max_n=10)
-            if connected_components(g)[0] != 1:
+            if component_count(g) != 1:
                 continue
             seen += 1
             lam = laplacian_spectrum(g)
@@ -119,21 +117,6 @@ class TestPseudoDeterminant:
 
     def test_zero_matrix_empty_product(self):
         assert log_pdet(np.zeros((4, 4))) == 0.0
-
-
-class TestSolve:
-    def test_identity(self):
-        x = solve_linear(np.eye(2), np.array([3.0, 4.0]))
-        assert np.allclose(x, [3.0, 4.0])
-
-    def test_diagonal(self):
-        x = solve_linear(2 * np.eye(2), np.array([2.0, 2.0]))
-        assert np.allclose(x, [1.0, 1.0])
-
-    def test_singular_raises(self):
-        m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError):
-            solve_linear(m, np.array([1.0, 0.0]))
 
 
 class TestReadOnly:

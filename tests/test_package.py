@@ -120,3 +120,32 @@ def test_every_optional_parameter_is_passed():
     # cli.main's argv is passed by the tests and the benchmark; the
     # console entry point calls main().
     assert [p for p in unpassed_optional_parameters() if p != "cli.main(argv)"] == []
+
+
+def discarded_package_results() -> list[str]:
+    """``file:line`` of each assignment in the package that unpacks a call
+    to a function the package defines into a tuple target holding ``_``."""
+    trees = {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text()) for path in PACKAGE.rglob("*.py")}
+    defined = {
+        node.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+                continue
+            func = node.value.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in defined and any(
+                isinstance(target, ast.Tuple) and any(isinstance(e, ast.Name) and e.id == "_" for e in target.elts)
+                for target in node.targets
+            ):
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_no_package_result_is_discarded():
+    # A part of its own result that every caller drops is work the
+    # function need not do: return only what the callers read.
+    assert discarded_package_results() == []

@@ -126,6 +126,29 @@ class TestMagnitude:
         with pytest.raises(ValueError):
             magnitude(complete_graph(2), q=1.5)
 
+    @pytest.mark.parametrize("nudge, status", [
+        (None, "failed: singular magnitude matrix"),
+        (1e-6, "failed: singular magnitude matrix"),
+        (1e-12, "ok"),
+    ])
+    def test_singular_status(self, monkeypatch, nudge, status):
+        # Z is singular when the solve raises (nudge None) or leaves a
+        # residual ||Z x - 1|| above 1e-8 ||1||; nudging x_0 by e leaves
+        # a residual of e ||Z e_0||.
+        real_solve = np.linalg.solve
+
+        def fake_solve(z, rhs):
+            if nudge is None:
+                raise np.linalg.LinAlgError("Singular matrix")
+            x = real_solve(z, rhs)
+            x[0] += nudge
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", fake_solve)
+        iv = catalog_compute("magnitude")(cycle_graph(5))
+        assert iv.status == status
+        assert np.isnan(iv.values).all() == (status != "ok")
+
 
 class TestAnalyticTorsion:
     def test_no_edges_is_one(self):

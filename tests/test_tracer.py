@@ -13,6 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from graphinv.graph import make_graph
+from graphinv.registry import RegimeConfig, build_catalog, fingerprint
+
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -43,11 +46,12 @@ def run_child(mode: str, regime: str, argv: list[str]) -> dict:
     return result
 
 
-def run_both(tmp_path: Path, regime: str, argv: list[str], outputs: list[str]) -> dict:
+def run_both(tmp_path: Path, regime: str, argv: list[str], outputs: list[str], failed_blocks: int = 0) -> dict:
     """Run `argv` plain and traced, with "{out}" in it standing for a
     directory of each run's own, and require equal stdout (past that
-    directory) and equal bytes in every file of `outputs`. Returns the
-    traced run's layer metrics."""
+    directory), equal bytes in every file of `outputs` and `failed_blocks`
+    failed blocks counted by the tracer. Returns the traced run's layer
+    metrics."""
     runs = {}
     for mode in ("plain", "trace"):
         out = tmp_path / mode
@@ -58,7 +62,7 @@ def run_both(tmp_path: Path, regime: str, argv: list[str], outputs: list[str]) -
     for name in outputs:
         assert (tmp_path / "trace" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
     metrics = runs["trace"]["layers"]["metrics"]
-    assert metrics["invariants.failed_blocks"] == 0
+    assert metrics["invariants.failed_blocks"] == failed_blocks
     return metrics
 
 
@@ -100,3 +104,28 @@ def test_meta_traced_matches_plain(tmp_path):
     argv = ["--seed", "3", "meta", "--datasets", *map(str, paths), "--regime", "reduced",
             "--sample", "4", "--out", "{out}/meta.csv", "--smoke-accuracy"]
     run_both(tmp_path, "reduced", argv, ["meta.csv", "meta.csv.meta.json"])
+
+
+def test_features_traced_matches_plain(tmp_path):
+    rng = random.Random(7)
+
+    def featured(n, edges, id):
+        return make_graph(n, edges, id=id,
+                          node_features=[[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(n)],
+                          edge_features=[[rng.random()] for _ in edges])
+
+    graphs = [
+        featured(5, cycle_graph(5).edges, "c5"),
+        featured(4, path_graph(4).edges, "p4"),
+        featured(3, [], "edgeless"),
+    ]
+    dataset = write_jsonl(tmp_path / "d.jsonl", map(graph_to_obj, graphs))
+    argv = ["features", "--dataset", str(dataset), "--mode", "agg", "--hops", "2",
+            "--combine", "I", "--out", "{out}/features.csv"]
+    # The edgeless graph's curvature and degree-ratio blocks fail as declared.
+    catalog = build_catalog(RegimeConfig())
+    failed = sum(not v.ok for g in graphs for v in fingerprint(g, catalog))
+    metrics = run_both(tmp_path, "full", argv, ["features.csv"], failed_blocks=failed)
+    assert failed > 0
+    assert metrics["features.feature_agg_s"] > 0
+    assert metrics["transport.edges"] == sum(g.n_edges for g in graphs)
