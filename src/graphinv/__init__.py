@@ -3,6 +3,10 @@ pairwise expressivity differentiation, and feature-table export."""
 
 __version__ = "0.1.0"
 
+import os
+# One BLAS thread, set before numpy loads: a threaded BLAS sums in an order that depends on its thread count.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .graph import (  # noqa: F401
     Graph,
     GraphDataset,

@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .expressivity import export_heatmap, export_report_json, load_pairs, score_pairs
-from .features import FeatureConfig, write_features_csv
+from .features import DEFAULT_HOPS, MODES, FeatureConfig, write_features_csv
 from .graph import load_jsonl
 from .meta import (
     DEFAULT_SAMPLE_SIZE,
@@ -23,8 +23,10 @@ from .meta import (
     nearest_centroid_accuracy,
 )
 from .registry import (
+    REGIMES,
     RegimeConfig,
     SCHEMA_VERSION,
+    SUBSETS,
     build_catalog,
     fingerprint_dataset,
     write_fingerprint_csv,
@@ -55,9 +57,9 @@ def comma_floats(text: str) -> tuple[float, ...]:
 
 
 def _add_config_flags(p: argparse.ArgumentParser, subset: bool = True):
-    p.add_argument("--regime", choices=("full", "reduced"), default="full")
+    p.add_argument("--regime", choices=REGIMES, default="full")
     if subset:
-        p.add_argument("--subset", choices=("I", "S"), default="I")
+        p.add_argument("--subset", choices=SUBSETS, default="I")
     p.add_argument("--q", type=float, default=None, help="magnitude scale in (0,1)")
     p.add_argument("--alpha", type=float, default=None, help="lazy-walk laziness in [0,1)")
     p.add_argument("--torsion-dim", type=int, default=None, help="clique-complex dimension cap")
@@ -114,9 +116,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("features", help="export feature rows (optionally with invariants)")
     _add_config_flags(p, subset=False)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--mode", choices=("sum", "agg"), default="sum")
-    p.add_argument("--hops", type=int, default=3)
-    p.add_argument("--combine", choices=("none", "I", "S"), default="none")
+    p.add_argument("--mode", choices=MODES, default="sum")
+    p.add_argument("--hops", type=int, default=DEFAULT_HOPS)
+    p.add_argument("--combine", choices=("none", *SUBSETS), default="none")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("meta", help="assemble a meta-classification table")

@@ -63,7 +63,7 @@ class DifferentiationReport:
         diff = self.pair_differentiated()
         count = int(diff.sum())
         size = len(self.pair_ids)
-        return {"size": size, "count": count, "accuracy": count / size if size else 0.0}
+        return {"size": size, "count": count, "accuracy": count / size}
 
 
 def score_pairs(
@@ -78,8 +78,6 @@ def score_pairs(
     side gets NaN, as does one holding the same infinity on both sides."""
     if not pairs:
         raise ValueError("no pairs to score")
-    if mode not in ("relative", "absolute"):
-        raise ValueError(f"unknown tolerance mode {mode!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 

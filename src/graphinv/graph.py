@@ -141,17 +141,27 @@ class GraphDataset:
 # JSON-lines parser
 
 
+def _refuse_constant(name: str):
+    raise json.JSONDecodeError(f"{name} is not JSON", name, 0)
+
+
+#: Python's json reads NaN, Infinity and -Infinity; JSON has no such tokens.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def read_jsonl(stream: IO[str], prefix: str = "line") -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, obj)`` for every non-blank line of a JSON-lines
-    text stream, numbered from 1. A line that is not valid JSON (or nested
-    too deeply to parse), or not a JSON object, raises
-    :class:`GraphDataError` whose message starts with ``f"{prefix} {lineno}"``."""
+    text stream, numbered from 1. A line that is not valid JSON (holding
+    NaN or an infinity, or nested too deeply to parse), or not a JSON object,
+    raises :class:`GraphDataError` whose message starts with ``f"{prefix} {lineno}"``."""
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            if line.startswith("\ufeff"):  # json.loads refuses a BOM before it decodes
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            obj = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise GraphDataError(f"{prefix} {lineno}: invalid JSON ({exc.msg})") from None
         except RecursionError:

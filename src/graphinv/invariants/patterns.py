@@ -20,11 +20,6 @@ class Pattern:
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
 
-    @property
-    def label(self) -> str:
-        body = ",".join(f"{u}{v}" for u, v in self.edges) or "-"
-        return f"F{self.n_vertices}e{len(self.edges)}[{body}]"
-
 
 #: (vertex count, edges as space-separated digit pairs), in catalog order.
 _CATALOG = (

@@ -34,8 +34,6 @@ def magnitude(g: Graph, q: float = DEFAULT_MAGNITUDE_Q) -> float:
     Z x = 1 (the magnitude is sum(x)), not a full inversion; Z is singular
     when the solve fails or leaves a residual above 1e-8 ||1||.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"magnitude scale q must be in (0, 1), got {q}")
     dist = bfs_all_pairs(g)
     z = np.where(dist == UNREACHABLE, 0.0, np.power(q, dist, dtype=np.float64))
     ones = np.ones(g.n_vertices)
@@ -108,7 +106,7 @@ def edge_distribution(values: np.ndarray) -> EdgeDistribution:
     # Degenerate distributions take (0, 0): the cutoff treats a standard
     # deviation at rounding scale as zero, since standardizing by it would
     # only amplify noise in the per-edge values.
-    sigma_floor = 1e-9 * max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
+    sigma_floor = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     if variance > sigma_floor**2:
         sigma = math.sqrt(variance)
         skewness = float(np.mean(centered**3)) / sigma**3
@@ -157,8 +155,6 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
     rounded division, so it depends neither on the pivot order nor on the
     vertex labels.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"laziness must lie in [0, 1), got {alpha}")
     if g.n_edges == 0:
         raise BlockFailure("Ollivier curvature needs at least one edge")
     p, q = float(alpha).as_integer_ratio()
@@ -211,7 +207,7 @@ def commute_times(g: Graph) -> tuple[float, float]:
 
 
 @per_graph
-def _neighbourhood_traces(g: Graph) -> MappingProxyType[tuple[int, bool], float]:
+def neighbourhood_traces(g: Graph) -> MappingProxyType[tuple[int, bool], float]:
     """Sums over vertices of tr(A_N^4) and tr(A_N^8), with A_N the
     adjacency matrix induced on the open and on the closed neighbourhood
     N of the vertex, keyed by (p, closed). A_N is symmetric, so
@@ -246,11 +242,3 @@ def _neighbourhood_traces(g: Graph) -> MappingProxyType[tuple[int, bool], float]
                 total += value
             totals[p, closed] = total
     return MappingProxyType(totals)
-
-
-def neighbourhood_power_trace(g: Graph, p: int, closed: bool = False) -> float:
-    """Sum over vertices of tr((A restricted to the neighbourhood)^p),
-    using the closed neighbourhood N[i] when `closed`."""
-    if p not in POWER_TRACE_EXPONENTS:
-        raise ValueError(f"power-trace exponent must be one of {POWER_TRACE_EXPONENTS}")
-    return _neighbourhood_traces(g)[p, closed]

@@ -171,7 +171,7 @@ def _master_catalog(config: RegimeConfig) -> list[InvariantDescriptor]:
     entries += [
         block(
             f"neighbourhood_trace_{'closed' if c else 'open'}_p{p}",
-            lambda g, p=p, c=c: topo.neighbourhood_power_trace(g, p, c),
+            lambda g, p=p, c=c: topo.neighbourhood_traces(g)[p, c],
         )
         for c in (False, True)
         for p in topo.POWER_TRACE_EXPONENTS
@@ -214,12 +214,7 @@ def build_catalog(config: RegimeConfig) -> tuple[InvariantDescriptor, ...]:
     if config.subset == "I":
         return tuple(master)
     by_name = {d.name: d for d in master}
-    picked = []
-    for name in EXPRESSIVE_SUBSETS[config.regime]:
-        if name not in by_name:
-            raise ConfigError(f"expressive subset member {name!r} missing from regime catalog")
-        picked.append(by_name[name])
-    return tuple(picked)
+    return tuple(by_name[n] for n in EXPRESSIVE_SUBSETS[config.regime])
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,12 @@ def cfi_pair(n: int, edges) -> tuple[Graph, Graph]:
     return cfi(False), cfi(True)
 
 
+def pattern_label(p) -> str:
+    """A catalog pattern's name in assertion messages, such as "F3e2[01,02]"."""
+    body = ",".join(f"{u}{v}" for u, v in p.edges) or "-"
+    return f"F{p.n_vertices}e{len(p.edges)}[{body}]"
+
+
 def catalog_compute(name: str, regime: str = "full"):
     """The ``compute`` of catalog block ``name`` under the default config
     of ``regime``: it returns the block's InvariantValue, status included."""

@@ -40,6 +40,7 @@ from conftest import (
     erdos_renyi,
     graph_to_obj,
     path_graph,
+    pattern_label,
     random_graph,
     random_permutation,
     relabel,
@@ -200,7 +201,7 @@ def test_c4_wl_hard_pair_differentiation():
         for i, p in enumerate(PATTERN_CATALOG):
             want_rook = oracles.count_homomorphisms_einsum(p.n_vertices, p.edges, a_rook)
             want_shri = oracles.count_homomorphisms_einsum(p.n_vertices, p.edges, a_shri)
-            assert got_rook[i] == want_rook and got_shri[i] == want_shri, p.label
+            assert got_rook[i] == want_rook and got_shri[i] == want_shri, pattern_label(p)
             if want_rook != want_shri:
                 differing.append(p)
         assert differing, "hom counts must separate the strongly regular pair"

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from graphinv.cli import build_parser, main
 from graphinv.graph import make_graph
 
-from conftest import cycle_graph, erdos_renyi, graph_to_obj, random_permutation, relabel, two_triangles
+from conftest import barabasi_albert, cycle_graph, erdos_renyi, graph_to_obj, random_permutation, relabel, two_triangles
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -24,6 +25,16 @@ def write_dataset(path, graphs):
     with open(path, "w") as fh:
         for g in graphs:
             fh.write(json.dumps(graph_to_obj(g)) + "\n")
+
+
+def run_python(*args, **env):
+    """Run a fresh interpreter on the package source, ``env`` added to its
+    environment; it must exit 0."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 @pytest.fixture
@@ -132,6 +143,27 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "not a JSON object" in err[0]
+
+    @pytest.mark.parametrize("command, prefix", [("features", "line"), ("expressivity", "pairs line")])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_is_data_error(self, tmp_path, capsys, command, prefix, token):
+        # Python's json reads these tokens as floats; JSON has none of them.
+        graph = '{"num_nodes": 2, "edges": [[0, 1]]}'
+        bad_graph = f'{{"num_nodes": 2, "edges": [[0, 1]], "node_features": [[{token}], [1.0]]}}'
+        bad = tmp_path / "bad.jsonl"
+        out = tmp_path / "o.csv"
+        if command == "features":
+            bad.write_text(f"{graph}\n{bad_graph}\n")
+            argv = ["features", "--dataset", str(bad), "--out", str(out)]
+        else:
+            pair = '{{"pair_id": "p{}", "left": {}, "right": {}}}\n'
+            bad.write_text(pair.format(0, graph, graph) + pair.format(1, bad_graph, graph))
+            argv = ["expressivity", "--pairs", str(bad), "--heatmap", str(out)]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.strip().splitlines() == [f"graphinv: {prefix} 2: invalid JSON ({token} is not JSON)"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, depth", [("fingerprint", 100_000), ("expressivity", 5_000)])
     def test_deeply_nested_line_is_data_error(self, tmp_path, capsys, command, depth):
@@ -251,6 +283,24 @@ class TestThreadsDeterminism:
         assert main(["--threads", "8", "fingerprint", "--dataset", str(dataset_path), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_blas_thread_count_never_changes_bytes(self, tmp_path):
+        # The package pins BLAS to one thread before numpy loads, so a
+        # fresh process writes the same bytes whatever the environment
+        # asks for; these graphs' matrix products round differently
+        # under two OpenBLAS threads.
+        rng = random.Random(3)
+        graphs = [barabasi_albert(120, 3, rng), barabasi_albert(140, 3, rng),
+                  erdos_renyi(110, 0.05, rng), erdos_renyi(130, 0.04, rng)]
+        write_dataset(tmp_path / "d.jsonl", graphs)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            run_python("-m", "graphinv.cli", "fingerprint", "--regime", "reduced",
+                       "--dataset", str(tmp_path / "d.jsonl"), "--out", str(out),
+                       **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestExpressivityCommand:
     def test_pair_scoring_outputs(self, tmp_path, capsys):
@@ -341,6 +391,14 @@ class TestFeaturesCommand:
                          "--out", str(tmp_path / "rows.csv")])
             outcomes.append((code, capsys.readouterr().err))
         assert outcomes[0] == outcomes[1] == (2, "graphinv: inconsistent feature widths across dataset: [1, 2]\n")
+
+    def test_unknown_mode_is_usage_error(self, dataset_path, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["features", "--dataset", str(dataset_path), "--mode", "mean", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "argument --mode: invalid choice: 'mean'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_flag_without_combine_is_data_error(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -459,26 +517,19 @@ class TestOneFingerprintTable:
 
 
 class TestImportCost:
-    def run_python(self, *args):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc
-
     def test_cli_import_leaves_heavy_modules_unloaded(self):
         # Every command starts by importing the CLI, so these would add to
         # each run's start-up time and memory; only tests and the benchmark's
         # oracle checks need them.
         heavy = ["scipy", "hypothesis", "fractions", "decimal"]
         code = f"import sys, graphinv.cli; print([m for m in {heavy!r} if m in sys.modules])"
-        assert self.run_python("-c", code).stdout.strip() == "[]"
+        assert run_python("-c", code).stdout.strip() == "[]"
 
     def test_cli_import_times_patterns_module(self):
         # The benchmark's setup.patterns_import_s reads this module's line
         # of -X importtime (perfbench/run.py); the pattern catalog must stay
         # a module of its own that the CLI imports.
-        proc = self.run_python("-X", "importtime", "-c", "import graphinv.cli")
+        proc = run_python("-X", "importtime", "-c", "import graphinv.cli")
         modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                    if line.startswith("import time:")]
         assert "graphinv.invariants.patterns" in modules

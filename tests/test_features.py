@@ -126,8 +126,6 @@ class TestAssembleRow:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            FeatureConfig(mode="mean")
-        with pytest.raises(ValueError):
             FeatureConfig(mode="agg", hops=0)
 
 

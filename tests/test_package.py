@@ -1,9 +1,11 @@
 """The package holds only what the program runs."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import graphinv
+from graphinv.invariants import BlockFailure
 
 PACKAGE = Path(graphinv.__file__).parent
 
@@ -149,3 +151,28 @@ def test_no_package_result_is_discarded():
     # A part of its own result that every caller drops is work the
     # function need not do: return only what the callers read.
     assert discarded_package_results() == []
+
+
+def undeclared_raises() -> list[str]:
+    """``file:line`` of each ``raise`` in ``invariants/*.py`` and
+    ``linalg.py`` whose exception is not BlockFailure or a subclass, as
+    looked up by name in the raising module. A bare ``raise`` passes on
+    what a callee raised and is allowed."""
+    found = []
+    for path in [*sorted((PACKAGE / "invariants").glob("*.py")), PACKAGE / "linalg.py"]:
+        rel = path.relative_to(PACKAGE)
+        module = importlib.import_module(".".join(("graphinv", *rel.with_suffix("").parts)).removesuffix(".__init__"))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(module, exc.id, None) if isinstance(exc, ast.Name) else None
+            if not (isinstance(cls, type) and issubclass(cls, BlockFailure)):
+                found.append(f"{rel.as_posix()}:{node.lineno}")
+    return found
+
+
+def test_blocks_raise_only_declared_failures():
+    # A block fails only in a declared way; a value it is handed was
+    # checked where it entered (argparse, RegimeConfig), not again here.
+    assert undeclared_raises() == []

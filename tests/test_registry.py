@@ -59,6 +59,14 @@ class TestRegimeConfig:
         with pytest.raises(ConfigError):
             RegimeConfig(regime="medium")
 
+    def test_q_range_validated(self):
+        with pytest.raises(ConfigError, match="q must be in"):
+            RegimeConfig(q=1.5)
+
+    def test_alpha_validated(self):
+        with pytest.raises(ConfigError, match="alpha must be in"):
+            RegimeConfig(alpha=1.0)
+
     @pytest.mark.parametrize("exponents", [(float("nan"),), (1.0, float("inf")), (float("-inf"),)])
     def test_non_finite_randic_exponent(self, exponents):
         with pytest.raises(ConfigError, match="randic_exponents must be finite"):
