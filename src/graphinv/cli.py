@@ -75,11 +75,6 @@ def _add_config_flags(p: argparse.ArgumentParser, subset: bool = True):
 _OVERRIDES = ("q", "alpha", "torsion_dim", "spectrum_k", "randic_exponents", "hom_log1p")
 
 
-def _config_from_args(args, subset: str) -> RegimeConfig:
-    overrides = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
-    return RegimeConfig(regime=args.regime, subset=subset, **overrides)
-
-
 _STRICT_HELP = "exit 3 when any invariant block fails"
 
 
@@ -94,15 +89,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list-invariants", help="print the catalog for a regime/subset")
+    p.set_defaults(run=_cmd_list_invariants)
     _add_config_flags(p)
 
     p = sub.add_parser("fingerprint", help="fingerprint a dataset to CSV")
+    p.set_defaults(run=_cmd_fingerprint)
     _add_config_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strict", action="store_true", help=_STRICT_HELP)
 
     p = sub.add_parser("expressivity", help="score non-isomorphic pair differentiation")
+    p.set_defaults(run=_cmd_expressivity)
     _add_config_flags(p)
     p.add_argument("--pairs", required=True, help="pairs JSONL (or BREC .npy)")
     p.add_argument("--tol", type=float, default=1e-6)
@@ -114,14 +112,16 @@ def build_parser() -> _Parser:
     p.add_argument("--heatmap", default=None, help="write the difference heatmap CSV here")
 
     p = sub.add_parser("features", help="export feature rows (optionally with invariants)")
+    p.set_defaults(run=_cmd_features)
     _add_config_flags(p, subset=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--mode", choices=MODES, default="sum")
     p.add_argument("--hops", type=int, default=DEFAULT_HOPS)
-    p.add_argument("--combine", choices=("none", *SUBSETS), default="none")
+    p.add_argument("--combine", choices=("none", *SUBSETS), default="none", dest="subset")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("meta", help="assemble a meta-classification table")
+    p.set_defaults(run=_cmd_meta)
     _add_config_flags(p)
     p.add_argument("--datasets", nargs="+", required=True)
     p.add_argument("--sample", type=int, default=DEFAULT_SAMPLE_SIZE)
@@ -135,16 +135,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_list_invariants(args) -> int:
-    catalog = build_catalog(_config_from_args(args, args.subset))
+def _cmd_list_invariants(args, config: RegimeConfig, catalog) -> int:
     for d in catalog:
         print(f"{d.name} {d.width}")
     return EXIT_OK
 
 
-def _cmd_fingerprint(args) -> int:
-    config = _config_from_args(args, args.subset)
-    catalog = build_catalog(config)
+def _cmd_fingerprint(args, config: RegimeConfig, catalog) -> int:
     ds = load_jsonl(args.dataset)
     table = fingerprint_dataset(ds, catalog)
     write_fingerprint_csv(table, args.out, config)
@@ -156,9 +153,7 @@ def _cmd_fingerprint(args) -> int:
     return EXIT_OK
 
 
-def _cmd_expressivity(args) -> int:
-    config = _config_from_args(args, args.subset)
-    catalog = build_catalog(config)
+def _cmd_expressivity(args, config: RegimeConfig, catalog) -> int:
     pairs = load_pairs(args.pairs)
     mode = "absolute" if args.absolute else "relative"
     report = score_pairs(pairs, catalog, tol=args.tol, mode=mode)
@@ -173,21 +168,15 @@ def _cmd_expressivity(args) -> int:
     return EXIT_OK
 
 
-def _cmd_features(args) -> int:
+def _cmd_features(args, config: RegimeConfig, catalog) -> int:
     fconfig = FeatureConfig(mode=args.mode, hops=args.hops)
-    # --combine picks the subset; under "none" the config is still built, so
-    # a bad config flag is a data error there too.
-    config = _config_from_args(args, "I" if args.combine == "none" else args.combine)
-    catalog = None if args.combine == "none" else build_catalog(config)
     ds = load_jsonl(args.dataset)
     write_features_csv(ds, fconfig, catalog, args.out)
     print(f"wrote {len(ds)} feature rows to {args.out}")
     return EXIT_OK
 
 
-def _cmd_meta(args) -> int:
-    config = _config_from_args(args, args.subset)
-    catalog = build_catalog(config)
+def _cmd_meta(args, config: RegimeConfig, catalog) -> int:
     datasets = [load_jsonl(p) for p in args.datasets]
     table = assemble_meta_table(
         datasets, catalog,
@@ -213,20 +202,16 @@ def _cmd_meta(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "list-invariants": _cmd_list_invariants,
-    "fingerprint": _cmd_fingerprint,
-    "expressivity": _cmd_expressivity,
-    "features": _cmd_features,
-    "meta": _cmd_meta,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # features --combine none computes no invariants, but its config
+        # flags are still checked: a bad one is a data error there too.
+        overrides = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
+        subset = "I" if args.subset == "none" else args.subset
+        config = RegimeConfig(regime=args.regime, subset=subset, **overrides)
+        catalog = None if args.subset == "none" else build_catalog(config)
+        return args.run(args, config, catalog)
     except (ValueError, OSError) as exc:  # GraphDataError and ConfigError are ValueErrors
         print(f"graphinv: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -49,21 +49,17 @@ class DifferentiationReport:
     def pair_differentiated(self) -> np.ndarray:
         return self.differentiated.any(axis=1)
 
+    def _stats(self, mask: np.ndarray) -> dict:
+        count = int(self.pair_differentiated()[mask].sum())
+        size = int(mask.sum())
+        return {"size": size, "count": count, "accuracy": count / size}
+
     def category_stats(self) -> dict[str, dict]:
-        stats: dict[str, dict] = {}
-        diff = self.pair_differentiated()
-        for cat in dict.fromkeys(self.categories):  # first-seen order
-            mask = np.array([c == cat for c in self.categories])
-            count = int(diff[mask].sum())
-            size = int(mask.sum())
-            stats[cat] = {"size": size, "count": count, "accuracy": count / size}
-        return stats
+        categories = np.array(self.categories)
+        return {cat: self._stats(categories == cat) for cat in dict.fromkeys(self.categories)}  # first-seen order
 
     def total_stats(self) -> dict:
-        diff = self.pair_differentiated()
-        count = int(diff.sum())
-        size = len(self.pair_ids)
-        return {"size": size, "count": count, "accuracy": count / size}
+        return self._stats(np.ones(len(self.pair_ids), dtype=bool))
 
 
 def score_pairs(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -69,6 +70,8 @@ def _feature_matrix(rows, name: str) -> np.ndarray:
         x = None
     if x is None or x.ndim != 2 and x.shape != (0,):
         raise GraphDataError(f"{name} is not a matrix of numbers")
+    if not np.isfinite(x).all():  # JSON has no NaN or infinity, so a literal like 1e999 overflowed
+        raise GraphDataError(f"{name} holds a number past the float range")
     return x.reshape(0, 0) if x.shape == (0,) else x
 
 
@@ -171,6 +174,14 @@ def read_jsonl(stream: IO[str], prefix: str = "line") -> Iterator[tuple[int, dic
         yield lineno, obj
 
 
+def _finite(label) -> bool:
+    """False when a number in a JSON label, or in a list of them,
+    overflowed the float range."""
+    if type(label) is list:
+        return all(map(_finite, label))
+    return type(label) is not float or math.isfinite(label)
+
+
 def graph_from_obj(obj: dict, default_id: str) -> Graph:
     if not isinstance(obj, dict):
         raise GraphDataError(f"graph {default_id!r}: not a JSON object")
@@ -185,6 +196,8 @@ def graph_from_obj(obj: dict, default_id: str) -> Graph:
         for e in edges
     ):
         raise GraphDataError(f"graph {gid!r}: edges must be a list of pairs of JSON integers")
+    if not _finite(obj.get("label")):
+        raise GraphDataError(f"graph {gid!r}: label holds a number past the float range")
     try:
         return make_graph(
             n,

@@ -44,12 +44,11 @@ def _eccentricities(g: Graph) -> np.ndarray:
     # so disconnected inputs stay finite instead of poisoning the vector.
     dist = bfs_all_pairs(g)
     masked = np.where(dist == UNREACHABLE, 0, dist)
-    return masked.max(axis=1) if g.n_vertices else np.zeros(0)
+    return masked.max(axis=1, initial=0)
 
 
 def diameter(g: Graph) -> int:
-    ecc = _eccentricities(g)
-    return ecc.max() if ecc.size else 0
+    return _eccentricities(g).max(initial=0)
 
 
 def radius(g: Graph) -> int:
@@ -83,9 +82,8 @@ def laplacian_spectrum_block(g: Graph, k: int = DEFAULT_SPECTRUM_K) -> np.ndarra
     lam = normalized_laplacian_spectrum(g)
     block = np.zeros(2 * k)
     take = min(k, lam.size)
-    if take:
-        block[:take] = lam[:take]
-        block[2 * k - take:] = lam[lam.size - take:]
+    block[:take] = lam[:take]
+    block[2 * k - take:] = lam[lam.size - take:]
     return block
 
 

@@ -322,9 +322,8 @@ def _count(graphs: Sequence[Graph], indices: Iterable[int]) -> list[list[int]]:
     members = [(pos, _PLANS[i]) for pos, i in enumerate(indices)]
     host = _Host.of(*graphs)
     out = [np.zeros(len(graphs), dtype=host.dtype)] * len(members)
-    if host.n:
-        root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
-        _walk(root, 0, members, host, out)
+    root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
+    _walk(root, 0, members, host, out)
     return [list(map(int, column)) for column in zip(*out)] if out else [[] for _ in graphs]
 
 
@@ -358,8 +357,6 @@ def counting(chunk: tuple[Graph, ...]) -> Iterator[None]:
         try:
             return {id(g): c for g, c in zip(chunk, _count(chunk, _ALL))}
         except Exception:  # isolation: the chunk's graphs are counted one by one
-            if len(chunk) == 1:
-                raise
             return {}
 
     token = _CHUNK.set(counts)

@@ -181,9 +181,7 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
             if r > 0:
                 key = to_sinks(dist[x])
                 supply[key] = supply.get(key, 0) + r
-        moved = routed
-        if supply:
-            moved += transport_cost(list(supply.values()), [-excess[y] for y in sinks], list(supply))
+        moved = routed + transport_cost(list(supply.values()), [-excess[y] for y in sinks], list(supply))
         values[e] = (scale - moved) / scale
     return edge_distribution(values)
 

@@ -33,9 +33,7 @@ def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
 def default_rank_tol(eigenvalues: np.ndarray) -> float:
     """1e-10 scaled by the spectral radius (graph Laplacian spectra are
     integer-ish, so true zeros separate cleanly at this scale)."""
-    if eigenvalues.size == 0:
-        return 1e-10
-    radius = float(np.max(np.abs(eigenvalues)))
+    radius = float(np.max(np.abs(eigenvalues), initial=0.0))
     return 1e-10 * max(radius, 1.0)
 
 

@@ -86,6 +86,10 @@ class RegimeConfig:
             raise ConfigError(f"spectrum_k must be >= 1, got {self.spectrum_k}")
         if not np.isfinite(self.randic_exponents).all():
             raise ConfigError(f"randic_exponents must be finite, got {self.randic_exponents}")
+        labels = [f"{c:g}" for c in self.randic_exponents]  # as the catalog names the columns
+        if len(set(labels)) < len(labels):
+            twice = next(c for c in labels if labels.count(c) > 1)
+            raise ConfigError(f"randic_exponents must give distinct columns, got general_randic_{twice} twice")
 
 
 @dataclass(frozen=True)
@@ -200,10 +204,6 @@ def _master_catalog(config: RegimeConfig) -> list[InvariantDescriptor]:
         block("forgotten", indices.forgotten),
         block("balaban", indices.balaban),
     ]
-
-    names = [d.name for d in entries]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate invariant names in catalog")
     return entries
 
 

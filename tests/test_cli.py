@@ -107,6 +107,37 @@ class TestExitCodes:
         assert main(["expressivity", "--pairs", str(path)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--torsion-dim", "-1"], "torsion_dim must be >= 0, got -1"),
+        (["--spectrum-k", "0"], "spectrum_k must be >= 1, got 0"),
+        (["--randic-exponents", "1,0.5,0.5000001"],
+         "randic_exponents must give distinct columns, got general_randic_0.5 twice"),
+    ])
+    def test_override_out_of_range_is_data_error(self, capsys, argv, message):
+        assert main(["list-invariants", *argv]) == 2
+        assert capsys.readouterr() == ("", f"graphinv: {message}\n")
+
+    @pytest.mark.parametrize("entries, message", [
+        (["A!", "A_"], "invalid graph6 byte"),
+        (["A_", "A\x7f"], "invalid graph6 byte"),
+        (["C", "A_"], "graph6 bit stream too short for n=4"),
+        (["A_", "A_", "A_"], "holds an odd number of graphs"),
+    ])
+    def test_bad_graph6_file_is_data_error(self, tmp_path, capsys, entries, message):
+        path = tmp_path / "pairs.npy"
+        np.save(path, np.array(entries))
+        assert main(["expressivity", "--pairs", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+
+    def test_truncated_object_array_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "pairs.npy"
+        np.save(path, np.array(["A_", "A_"], dtype=object), allow_pickle=True)
+        path.write_bytes(path.read_bytes()[:-8])
+        assert main(["expressivity", "--pairs", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"graphinv: unreadable object array in {path}: ")
+
     def test_malformed_dataset_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "x", "num_nodes": 2, "edges": [[0, 0]]}\n')
@@ -247,6 +278,52 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+
+def run_features(tmp_path, capsys, text):
+    """Run `features` on a dataset file holding `text`: (exit code, stderr
+    lines, the CSV rows or None when none was written)."""
+    data, out = tmp_path / "d.jsonl", tmp_path / "rows.csv"
+    data.write_text(text, encoding="utf-8")
+    code = main(["features", "--dataset", str(data), "--out", str(out)])
+    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines())) if out.exists() else None
+    return code, capsys.readouterr().err.splitlines(), rows
+
+
+class TestDatasetLines:
+    """What `features` makes of single dataset lines: each refusal exits 2
+    with one stderr line and writes nothing."""
+
+    @pytest.mark.parametrize("record, message", [
+        ({"num_nodes": -1, "edges": []}, "negative vertex count -1"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "edge_features": [[1.0], [2.0]]}, "edge_features rows 2 != 1 edges"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1e999], [1]]},
+         "node_features holds a number past the float range"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "edge_features": [[-1e999]]},
+         "edge_features holds a number past the float range"),
+        ({"num_nodes": 1, "label": 1e999}, "label holds a number past the float range"),
+        ({"num_nodes": 1, "label": [1, [-1e999]]}, "label holds a number past the float range"),
+    ], ids=["negative-count", "edge-rows", "node-overflow", "edge-overflow", "label-overflow", "list-label-overflow"])
+    def test_refused_record(self, tmp_path, capsys, record, message):
+        # 1e999 is valid JSON syntax that overflows to an infinity; json.dumps
+        # writes it as Infinity, which the reader refuses, so it is spelt out.
+        text = json.dumps({"id": "gx", **record}).replace("Infinity", "1e999") + "\n"
+        assert run_features(tmp_path, capsys, text) == (2, [f"graphinv: graph 'gx': {message}"], None)
+
+    def test_blank_lines_are_counted(self, tmp_path, capsys):
+        # Default ids and line numbers count the blank lines too.
+        code, err, rows = run_features(tmp_path, capsys, '\n{"num_nodes": 1}\n  \n{"num_nodes": 2}\n')
+        assert code == 0 and err == []
+        assert [row[0] for row in rows[1:]] == ["g1", "g3"]
+        code, err, rows = run_features(tmp_path, capsys, '\n{"num_nodes": 1}\n\n\ufeff{"num_nodes": 2}\n')
+        assert (code, err) == (2, ["graphinv: line 4: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"])
+
+    def test_label_cells(self, tmp_path, capsys):
+        labels = [[1, 2], 0.1, 1e16, "x", None]
+        text = "".join(json.dumps({"num_nodes": 1, "label": label}) + "\n" for label in labels)
+        code, _, rows = run_features(tmp_path, capsys, text)
+        assert code == 0
+        assert [row[-1] for row in rows] == ["label", "1;2", "0.1", "1e+16", "x", ""]
 
 
 class TestEdgeCaseGolden:
@@ -464,6 +541,15 @@ class TestMetaCommand:
         assert not (tmp_path / "m.csv").exists()
         assert not (tmp_path / "m.csv.meta.json").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sample", "0", "sample_size must be >= 1, got 0"),
+        ("--test-frac", "1", "test_fraction must be in (0, 1), got 1.0"),
+    ])
+    def test_sampling_flag_out_of_range_is_data_error(self, tmp_path, capsys, flag, value, message):
+        assert self._edgeless_meta(tmp_path, (3, 4), flag, value) == 2
+        assert capsys.readouterr() == ("", f"graphinv: {message}\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_duplicate_dataset_names_are_data_error(self, tmp_path, rng, capsys):
         # x/er.jsonl and y/er.jsonl both load as dataset "er"; the sidecar
         # could not tell their labels apart.
@@ -514,6 +600,27 @@ class TestOneFingerprintTable:
                 assert feature_row[column] == cell, column
                 if column != "graph_id" and not column.endswith(".status"):
                     assert meta_row[column] == cell, column
+
+
+class TestHelpGolden:
+    """The help of the program and of each command, and the usage error
+    with no command, byte for byte at 80 columns."""
+
+    @pytest.mark.parametrize("command", ["graphinv", "list-invariants", "fingerprint", "expressivity",
+                                         "features", "meta"])
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if command == "graphinv" else [command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == ((GOLDEN / "help" / f"{command}.txt").read_text(encoding="utf-8"), "")
+
+    def test_no_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 1
+        assert capsys.readouterr() == ("", (GOLDEN / "help" / "no_command.txt").read_text(encoding="utf-8"))
 
 
 class TestImportCost:

@@ -346,3 +346,9 @@ class TestPairInputs:
         assert len(pairs) == 2
         assert pairs[0].category == "Basic"
         assert pairs[0].left.n_vertices == 4 and pairs[0].right.n_vertices == 5
+
+    def test_brec_categories_by_pair_index(self, tmp_path):
+        path = tmp_path / "pairs.npy"
+        np.save(path, np.array(["?"] * 2 * 402))  # 402 pairs of the graph without vertices
+        categories = [pair.category for pair in load_brec_npy(path)]
+        assert categories[359:] == ["CFI"] + ["Regular"] * 40 + ["Uncategorized"] * 2

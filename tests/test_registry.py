@@ -29,6 +29,7 @@ from graphinv.registry import (
 
 from conftest import (
     barabasi_albert,
+    catalog_compute,
     circulant_graph,
     complete_graph,
     cycle_graph,
@@ -71,6 +72,13 @@ class TestRegimeConfig:
     def test_non_finite_randic_exponent(self, exponents):
         with pytest.raises(ConfigError, match="randic_exponents must be finite"):
             RegimeConfig(randic_exponents=exponents)
+
+    @pytest.mark.parametrize("exponents", [(0.5, 0.5), (1.0, 0.5, 0.5000001)])
+    def test_randic_exponents_naming_one_column_twice(self, exponents):
+        # The columns are named by f"{c:g}", six significant digits.
+        with pytest.raises(ConfigError) as exc:
+            RegimeConfig(randic_exponents=exponents)
+        assert str(exc.value) == "randic_exponents must give distinct columns, got general_randic_0.5 twice"
 
 
 class TestCatalog:
@@ -179,6 +187,19 @@ class TestBlock:
         iv = block("b", lambda g: [1.0, 2.0], 3).compute(empty_graph(1))
         assert iv.status == "failed: width mismatch (2 != 3)"
         assert np.isnan(iv.values).all() and iv.values.shape == (3,)
+
+    @pytest.mark.parametrize("decomposition, name", [
+        ("eigvalsh", "algebraic_connectivity"),  # the spectrum
+        ("eigh", "commute_time_mean"),  # the pseudoinverse
+    ])
+    def test_failed_eigendecomposition_is_declared(self, monkeypatch, decomposition, name):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, decomposition, fail)
+        iv = catalog_compute(name)(cycle_graph(5))  # a new graph: no cached spectrum
+        assert iv.status == "failed: eigendecomposition failed for order 5: Eigenvalues did not converge"
+        assert np.isnan(iv.values).all()
 
 
 class TestFingerprintDataset:
@@ -316,9 +337,9 @@ class TestHomomorphismBatch:
         fingerprint_dataset([cycle_graph(5), path_graph(4), cycle_graph(260), complete_graph(4)], FULL)
         assert calls == [2, 1, 1]
 
-    def test_failure_lands_on_its_graph(self, monkeypatch):
-        # The union of a chunk holds every graph of it, so the poison graph
-        # makes the whole chunk raise; only its own block fails.
+    def poisoned_statuses(self, monkeypatch):
+        """The homomorphism-count statuses of five graphs, the third of
+        which makes `_Host.of` raise; each row equals its graph alone."""
         poison = two_triangles()
         graphs = [cycle_graph(5), complete_graph(4), poison, path_graph(5), cycle_graph(6)]
         real = homcount._Host.of
@@ -333,7 +354,25 @@ class TestHomomorphismBatch:
         table = fingerprint_dataset(graphs, FULL)
         assert_rows_equal(table, alone)
         hom = [d.name for d in FULL].index("homomorphism_counts")
-        assert [row[hom] for row in table.statuses] == ["ok", "ok", "failed: RuntimeError: poison", "ok", "ok"]
+        return [row[hom] for row in table.statuses]
+
+    def test_failure_lands_on_its_graph(self, monkeypatch):
+        # The union of a chunk holds every graph of it, so the poison graph
+        # makes the whole chunk raise; only its own block fails.
+        assert self.poisoned_statuses(monkeypatch) == ["ok", "ok", "failed: RuntimeError: poison", "ok", "ok"]
+
+    def test_lone_chunk_failure_lands_on_its_graph(self, monkeypatch):
+        # With a cap of 1 every graph is a chunk alone: the poison graph's
+        # chunk raises, and so does its recount alone.
+        monkeypatch.setattr(homcount, "_CHUNK_SQUARES", 1)
+        assert self.poisoned_statuses(monkeypatch) == ["ok", "ok", "failed: RuntimeError: poison", "ok", "ok"]
+
+    def test_chunk_of_empty_graphs_counts_zero(self):
+        # The union has no vertex: every table of the walk is empty.
+        table = fingerprint_dataset([make_graph(0, [], id="a"), make_graph(0, [], id="b")], FULL)
+        for row in (0, 1):
+            ((values, status),) = [(v, s) for name, v, s in blocks(table, row) if name == "homomorphism_counts"]
+            assert status == "ok" and values.tolist() == [0.0] * topo.N_PATTERNS
 
     @pytest.mark.parametrize("catalog", [FULL, REDUCED], ids=["full", "reduced"])
     def test_each_shared_primitive_built_once(self, catalog):
