@@ -63,11 +63,22 @@ def feature_columns(mode: str, hops: int, dim: int) -> list[str]:
 
 
 def _format_label(label) -> str:
-    if isinstance(label, (list, tuple)):
-        return ";".join(_format_label(x) for x in label)
-    if isinstance(label, float):
-        return repr(label)
-    return str(label)
+    """A label's cell: the items of a list joined by ";" at every level of
+    list nesting, a float by its repr, anything else, an object too, by
+    str. Lists are walked with a stack, so list nesting of any depth
+    formats without running out of recursion; an object's str recurses in
+    C no deeper than `json` did to parse it."""
+    parts: list[str] = []
+    stack = [label]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, tuple)):
+            # The items go on in reverse with ";" between them: a str
+            # formats as itself, so a separator can ride along as an item.
+            stack += [y for item in reversed(x) for y in (item, ";")][:-1]
+        else:
+            parts.append(repr(x) if isinstance(x, float) else str(x))
+    return "".join(parts)
 
 
 def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:

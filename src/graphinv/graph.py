@@ -175,11 +175,19 @@ def read_jsonl(stream: IO[str], prefix: str = "line") -> Iterator[tuple[int, dic
 
 
 def _finite(label) -> bool:
-    """False when a number in a JSON label, or in a list of them,
-    overflowed the float range."""
-    if type(label) is list:
-        return all(map(_finite, label))
-    return type(label) is not float or math.isfinite(label)
+    """False when a number anywhere in a JSON label, inside its lists and
+    object values, overflowed the float range. Walked with a stack, so any
+    nesting `json` parses is checked without running out of recursion."""
+    stack = [label]
+    while stack:
+        x = stack.pop()
+        if type(x) is list:
+            stack += x
+        elif type(x) is dict:
+            stack += x.values()
+        elif type(x) is float and not math.isfinite(x):
+            return False
+    return True
 
 
 def graph_from_obj(obj: dict, default_id: str) -> Graph:

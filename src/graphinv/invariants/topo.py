@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -130,6 +130,42 @@ def forman_ricci(g: Graph) -> EdgeDistribution:
     return edge_distribution(values)
 
 
+#: Edges enter the Ollivier-Ricci pass in consecutive batches whose summed
+#: |N[u]| |N[v]|, a bound on their transport cells, stays within this many
+#: (an edge beyond it is a batch alone), so a dense graph never holds the
+#: cells of all its edges at once. Each edge bounds at least 4 cells, so a
+#: batch has at most 2**14 edges and edge * 4 + cost fits 16 bits.
+_BATCH_CELLS = 2**16
+
+#: Sinks per int64 code word of a cost row: every cost lies in {1, 2, 3}
+#: and takes two bits.
+_CODE_SINKS = 31
+
+
+def _runs(first: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the runs [first_k, first_k + lens_k), run after run,
+    and the run each index belongs to."""
+    run = np.repeat(np.arange(len(lens)), lens)
+    ends = np.cumsum(lens)
+    return np.arange(run.size) + (first - ends + lens)[run], run
+
+
+def _compare(d: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Sign of P (d + 1) - Q for each degree d, in exact arithmetic."""
+    if p == 0:
+        return np.full(d.shape, -1)
+    t, r = divmod(q, p)  # P (d + 1) > Q exactly when d + 1 > Q // P
+    if t > 2**62:
+        return np.full(d.shape, -1)
+    above = np.where(d + 1 > t, 1, -1)
+    return np.where(d + 1 == t, 0, above) if r == 0 else above
+
+
+def _affine(a: int, x: np.ndarray, b: int, y: np.ndarray) -> list[int]:
+    """a x + b y elementwise as Python ints."""
+    return [a * s + b * t for s, t in zip(x.tolist(), y.tolist())]
+
+
 @per_graph
 def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistribution:
     """Per-edge curvature 1 - W_1(mu_u, mu_v) of the lazy random walk with
@@ -139,51 +175,159 @@ def ollivier_ricci(g: Graph, alpha: float = DEFAULT_LAZINESS) -> EdgeDistributio
     L = Q d_u d_v, mu_u is an integer measure: P d_u d_v at u and
     (Q - P) d_v at each neighbour of u; mu_v likewise around v. Only the
     signed difference mu_u - mu_v is moved, since W_1(mu, nu) =
-    W_1((mu - nu)^+, (mu - nu)^-) under the graph metric, and sources with
-    equal cost rows are merged, their masses summed. When u is a source
-    and v a sink, min(excess_u, -excess_v) first goes along the edge at
-    cost 1. That is optimal: every source x lies in B_1(u) and every sink
-    y in B_1(v), so d(x, y) <= 1 + min(d(u, y), d(x, v)), and as all
-    common neighbours carry the sign of d_v - d_u, d(u, y) = d(x, v) = 1
-    cannot hold together; uncrossing u -> y and x -> v into u -> v and
-    x -> y therefore never costs more. The rest is one balanced integer
-    instance, handed unchecked to `transport.transport_cost` with the
-    merged source masses, the sink masses and the merged cost rows; its
-    least-cost start certifies itself as optimal for almost every edge,
-    and the basis tree is built only when a pivot is due. The optimum C
-    is then an exact integer and the value (L - C) / L is one correctly
-    rounded division, so it depends neither on the pivot order nor on the
-    vertex labels.
+    W_1((mu - nu)^+, (mu - nu)^-) under the graph metric. At x it is
+    (Q - P) k_1 + P k_2 with k_1 = d_v [x in N(u)] - d_u [x in N(v)] and
+    k_2 = d_u d_v at u, -d_u d_v at v and 0 elsewhere; u is a source when
+    P (d_v + 1) > Q and v a sink when P (d_u + 1) > Q. Then
+    min(excess_u, -excess_v) first goes along the edge at cost 1, which
+    leaves (Q - P) max(d_v - d_u, 0) at u and (Q - P) min(d_v - d_u, 0) at
+    v. That is optimal: every source x lies in B_1(u) and every sink y in
+    B_1(v), so d(x, y) <= 1 + min(d(u, y), d(x, v)), and as all common
+    neighbours carry the sign of d_v - d_u, d(u, y) = d(x, v) = 1 cannot
+    hold together; uncrossing u -> y and x -> v into u -> v and x -> y
+    therefore never costs more.
+
+    One numpy pass per batch of edges (see `_BATCH_CELLS`) builds every
+    remaining instance from small integers. Costs between sources and the
+    disjoint sinks lie in {1, 2, 3}, so each source's cost row packs into
+    int64 code words, 31 sinks a word; sources with equal codes are
+    merged, their k_1 and k_2 summed, and only a merged row's mass becomes
+    a Python int. The pass also orders each instance as the solver serves
+    it: rows and columns in descending order of cost sum, so that among
+    equal costs the lines with the fewest cheap cells come first (rows
+    tied by their first source, columns by their place in N(u), then
+    N(v)), and cells in ascending cost order, ties row-major.
+    `transport.transport_cost` then walks, certifies and, when due,
+    pivots each instance unchecked. The optimum C is an exact integer
+    and the value (L - C) / L is one correctly rounded division, so it
+    depends neither on the pivot order nor on the vertex labels.
     """
     if g.n_edges == 0:
         raise BlockFailure("Ollivier curvature needs at least one edge")
     p, q = float(alpha).as_integer_ratio()
-    nbrs = adjacency_sets(g)
-    dist = bfs_all_pairs(g).tolist()
-    values = np.empty(g.n_edges)
-    for e, (u, v) in enumerate(g.edges):
-        du, dv = len(nbrs[u]), len(nbrs[v])
-        scale = q * du * dv
-        excess = dict.fromkeys(nbrs[u], (q - p) * dv)
-        excess[u] = p * du * dv
-        step = (q - p) * du
-        for y in nbrs[v]:
-            excess[y] = excess.get(y, 0) - step
-        excess[v] -= p * du * dv
-        routed = max(0, min(excess[u], -excess[v]))  # u a source and v a sink
-        excess[u] -= routed
-        excess[v] += routed
-        sinks = [y for y, r in excess.items() if r < 0]
-        # itemgetter of one index returns the bare cost, not a 1-tuple
-        to_sinks = itemgetter(*sinks) if len(sinks) > 1 else lambda row: tuple([row[y] for y in sinks])
-        supply: dict[tuple[int, ...], int] = {}  # cost row to the sinks -> mass
-        for x, r in excess.items():
-            if r > 0:
-                key = to_sinks(dist[x])
-                supply[key] = supply.get(key, 0) + r
-        moved = routed + transport_cost(list(supply.values()), [-excess[y] for y in sinks], list(supply))
-        values[e] = (scale - moved) / scale
-    return edge_distribution(values)
+    deg = degree_vector(g)
+    dist = bfs_all_pairs(g)
+    # Neighbour lists vertex after vertex; rows and columns tie in their order.
+    nbr = np.fromiter(chain.from_iterable(adjacency_sets(g)), dtype=np.int64, count=2 * g.n_edges)
+    first = np.cumsum(deg) - deg
+    eu, ev = np.array(g.edges).T
+    values = []
+    lo, size = 0, 0
+    bounds = ((deg[eu] + 1) * (deg[ev] + 1)).tolist()
+    for e, cells in enumerate(bounds):
+        if size and size + cells > _BATCH_CELLS:
+            values += _curvatures(eu[lo:e], ev[lo:e], deg, dist, nbr, first, p, q)
+            lo, size = e, 0
+        size += cells
+    values += _curvatures(eu[lo:], ev[lo:], deg, dist, nbr, first, p, q)
+    return edge_distribution(np.array(values))
+
+
+def _curvatures(u, v, deg, dist, nbr, first, p: int, q: int) -> list[float]:
+    """Curvatures of the edges (u_k, v_k), their instances built and
+    ordered in one pass (see `ollivier_ricci`)."""
+    du, dv = deg[u], deg[v]
+    x, edge, k1, k2, sign, routed = _excess(u, v, du, dv, dist, nbr, first, p, q)
+    src, snk = sign > 0, sign < 0
+    te = edge[snk]
+    n_snk = np.bincount(te, minlength=len(u))
+    snk_first = np.cumsum(n_snk) - n_snk
+    me, a1, a2, cells = _merged_rows(x[src], edge[src], k1[src], k2[src], x[snk], snk_first, n_snk, dist)
+    cols, cf, order = _serving_order(me, *cells, te, snk_first, n_snk)
+    qp = q - p
+    supply = _affine(qp, a1, p, a2)
+    demand = _affine(qp, -k1[snk][cols], p, -k2[snk][cols])
+    d2 = du * dv
+    scales = _affine(qp, d2, p, d2)
+    routes = _affine(qp, -np.maximum(du, dv) * routed, p, d2 * routed)
+    cf = cf.tolist()
+    values = []
+    r = c = k = 0
+    for scale, moved, m, n in zip(scales, routes, np.bincount(me, minlength=len(u)).tolist(), n_snk.tolist()):
+        if m:  # no sources, no sinks
+            mn = m * n
+            # Listed one instance at a time: cell numbers past 256 are objects.
+            moved += transport_cost(supply[r:r + m], demand[c:c + n], cf[k:k + mn], order[k:k + mn].tolist())
+            r, c, k = r + m, c + n, k + mn
+        values.append((scale - moved) / scale)
+    return values
+
+
+def _excess(u, v, du, dv, dist, nbr, first, p: int, q: int):
+    """Every vertex of N(u) and N(v) of each edge, once: its edge, k_1,
+    k_2 and the sign of its excess after routing, and whether each edge
+    routes along itself."""
+    # N(u) then N(v) \ N(u) of each edge: x in N(u) has
+    # k_1 = d_v - d_u [x in N(v)] and y in N(v) \ N(u) has k_1 = -d_u.
+    at, run = _runs(np.array([first[u], first[v]]).T.ravel(), np.array([du, dv]).T.ravel())
+    x, edge, side = nbr[at], run >> 1, run & 1
+    hit = dist[np.where(side, u[edge], v[edge]), x] == 1
+    keep = (side == 0) | ~hit
+    x, edge, side, hit = x[keep], edge[keep], side[keep], hit[keep]
+    k1 = np.where(side, -du[edge], dv[edge] - du[edge] * hit)
+    # The endpoints, one of each per edge in edge order: the signs of the
+    # excess at u and of minus the excess at v, and what routing leaves.
+    iu, iv = np.flatnonzero(x == u[edge]), np.flatnonzero(x == v[edge])
+    cu, cv = _compare(dv, p, q), _compare(du, p, q)
+    routed = (cu > 0) & (cv > 0)
+    k1[iu] = np.where(routed, np.maximum(dv - du, 0), -du)
+    k1[iv] = np.where(routed, np.minimum(dv - du, 0), dv)
+    k2 = np.zeros_like(k1)
+    k2[iu] = np.where(routed, 0, du * dv)
+    k2[iv] = -k2[iu]
+    sign = np.sign(k1) if q > p else np.zeros_like(k1)
+    sign[iu] = np.where(routed, sign[iu], cu)
+    sign[iv] = np.where(routed, sign[iv], -cv)
+    return x, edge, k1, k2, sign, routed
+
+
+def _merged_rows(sx, se, k1, k2, tx, snk_first, n_snk, dist):
+    """Sources of equal cost rows merged: each merged row's edge and
+    summed k_1 and k_2, in descending order of cost sum by edge, ties by
+    first source, and its cells as (cost, sink, merged row)."""
+    width = n_snk[se]
+    col, row = _runs(snk_first[se], width)
+    cost = dist[sx[row], tx[col]]
+    j = col - snk_first[se][row]
+    word = j % _CODE_SINKS == 0
+    code = np.add.reduceat(cost << 2 * (j % _CODE_SINKS), np.flatnonzero(word))
+    codes = np.zeros((len(sx), -(-int(width.max(initial=0)) // _CODE_SINKS)), dtype=np.int64)
+    codes[row[word], j[word] // _CODE_SINKS] = code
+    row_first = np.cumsum(width) - width
+    row_sum = np.add.reduceat(cost, row_first)
+    # Equal rows of an edge sit together, the first of them ahead.
+    by = np.lexsort([*codes.T[::-1], se])
+    codes, sorted_edge = codes[by], se[by]
+    head = np.ones(len(by), dtype=bool)
+    head[1:] = (sorted_edge[1:] != sorted_edge[:-1]) | (codes[1:] != codes[:-1]).any(axis=1)
+    heads = np.flatnonzero(head)
+    rep = by[heads]
+    merged = np.lexsort((rep, -row_sum[rep], se[rep]))
+    rep = rep[merged]
+    at, mrow = _runs(row_first[rep], width[rep])
+    a1 = np.add.reduceat(k1[by], heads)[merged]
+    a2 = np.add.reduceat(k2[by], heads)[merged]
+    return se[rep], a1, a2, (cost[at], col[at], mrow)
+
+
+def _serving_order(me, cost, col, mrow, te, snk_first, n_snk):
+    """The sinks of each edge in descending order of cost sum over the
+    merged rows, ties in sink order, and the row-major costs of the merged
+    instances with their cells in ascending cost order, ties row-major,
+    numbered within each instance."""
+    col_sum = np.bincount(col, weights=cost, minlength=len(te))
+    cols = np.lexsort((-col_sum, te))
+    rank = np.empty_like(cols)
+    rank[cols] = np.arange(len(cols)) - snk_first[te[cols]]
+    width = n_snk[me]
+    cf = np.empty_like(cost)
+    cf[(np.cumsum(width) - width)[mrow] + rank[col]] = cost
+    cell_edge = np.repeat(me, width)
+    # Below 2**16, numpy's stable sort is a radix sort (see _BATCH_CELLS).
+    order = np.argsort((cell_edge * 4 + cf).astype(np.uint16), kind="stable")
+    n_cells = np.bincount(cell_edge, minlength=len(n_snk))
+    order -= (np.cumsum(n_cells) - n_cells)[cell_edge[order]]
+    return cols, cf, order
 
 
 # ---------------------------------------------------------------------------

@@ -2,29 +2,31 @@
 
 Solved with a transportation simplex specialized for the tiny dense
 instances that arise from neighbourhood measures. Its one entry,
-`transport_cost`, takes a balanced instance as Python ints and checks
-nothing: `topo.ollivier_ricci` builds its instances balanced by
-construction, and the tests check it against a checked reference entry,
-an exhaustive plan search and `linprog`. When an edge uv has a source u
-and a sink v, `topo.ollivier_ricci` first sends the edge's own mass along
-uv, so the instance lacks u's row or v's column.
+`transport_cost`, takes a balanced instance as Python ints, already in
+serving order, and checks nothing: `topo.ollivier_ricci` builds its
+instances balanced by construction, and the tests check it against a
+checked reference entry, an exhaustive plan search and `linprog`. When an
+edge uv has a source u and a sink v, `topo.ollivier_ricci` first sends
+the edge's own mass along uv, so the instance lacks u's row or v's column.
 
-Rows and columns are first put in descending order of cost sum, ties by
-index, so that among equal costs the ones with the fewest cheap cells are
-served first. The least-cost start then takes cells in ascending cost
-order, ties in row-major order; each closes exactly one row or column, so
-the m + n - 1 basic cells form a spanning tree of the row and column
-nodes, and one column is never closed. Walking the closings backwards
-from that column gives the dual potentials, u_i + v_j = c_ij on every
-basic cell: a cell that closed a row meets a column closed later (or
-never), and one that closed a column meets a row closed later. With the
-order above the start is almost always optimal, and it certifies itself:
-when no cell has a negative reduced cost c_ij - u_i - v_j, its cost is
-the optimum and no tree is built. Otherwise the simplex pivots by Bland's
-rule from that basis: the first cell in row-major order of negative
-reduced cost enters, and of the tree cells that could leave, the one of
-least index leaves, so the simplex cannot cycle. Only then is the basis
-tree built, and it is rebuilt with its potentials after each pivot.
+The caller orders each instance: `topo.ollivier_ricci` puts rows and
+columns in descending order of cost sum, so that among equal costs the
+ones with the fewest cheap cells are served first, and lists the cells in
+ascending cost order, ties in row-major order. The solver walks, certifies
+and pivots. The least-cost start takes the cells in the given order; each
+closes exactly one row or column, so the m + n - 1 basic cells form a
+spanning tree of the row and column nodes, and one column is never
+closed. Walking the closings backwards from that column gives the dual
+potentials, u_i + v_j = c_ij on every basic cell: a cell that closed a
+row meets a column closed later (or never), and one that closed a column
+meets a row closed later. With the order above the start is almost always
+optimal, and it certifies itself: when no cell has a negative reduced
+cost c_ij - u_i - v_j, its cost is the optimum and no tree is built.
+Otherwise the simplex pivots by Bland's rule from that basis: the first
+cell in row-major order of negative reduced cost enters, and of the tree
+cells that could leave, the one of least index leaves, so the simplex
+cannot cycle. Only then is the basis tree built, and it is rebuilt with
+its potentials after each pivot.
 
 Masses, costs, flows and potentials are Python ints (which may pass int64),
 so every reduced cost and mass update is exact and so is the optimum.
@@ -40,9 +42,9 @@ class TransportError(BlockFailure):
     inputs): a declared block failure."""
 
 
-def _least_cost_start(a: list[int], b: list[int], cf: list[int], n: int) -> tuple[dict[int, int], list[int]]:
+def _least_cost_start(a: list[int], b: list[int], cf: list[int], n: int, order: list[int]) -> tuple[dict[int, int], list[int]]:
     """Flows of the m + n - 1 basic cells by row-major index, taking cells
-    in ascending order of their costs `cf` (ties by index), and the dual
+    in the given `order` (ascending cost, ties by index), and the dual
     potentials of that basis: rows are nodes 0..m-1, column j is node
     m + j, and the column never closed has potential 0. Uses up `a` and
     `b`. A cell reached with its row and column open moves min(a_i, b_j)
@@ -53,7 +55,7 @@ def _least_cost_start(a: list[int], b: list[int], cf: list[int], n: int) -> tupl
     rows_left, cols_left = m, n
     flow: dict[int, int] = {}
     closings: list[tuple[int, int, int]] = []  # closed node, its open partner, cost
-    for cell in sorted(range(m * n), key=cf.__getitem__):
+    for cell in order:
         i, j = divmod(cell, n)
         if row_open[i] and col_open[j]:
             ai, bj = a[i], b[j]
@@ -113,17 +115,14 @@ def _bland(cf: list[int], pot: list[int], flow: dict[int, int], m: int, n: int) 
     return -1
 
 
-def transport_cost(supply: list[int], demand: list[int], costs) -> int:
+def transport_cost(supply: list[int], demand: list[int], cf: list[int], order: list[int]) -> int:
     """Exact optimum of the balanced instance moving `supply` (m,) to
-    `demand` (n,) at cost costs[i][j], all Python ints with non-negative
-    masses of equal totals. Nothing is checked."""
+    `demand` (n,) at the row-major costs `cf` (m * n), all Python ints with
+    non-negative masses of equal totals, whose cells `order` lists in
+    ascending cost order, ties by index. Uses up `supply` and `demand`.
+    Nothing is checked."""
     m, n = len(supply), len(demand)
-    # Fewest cheap cells first (see the module docstring); a stable sort
-    # keeps ties in index order also when reversed.
-    rows = sorted(range(m), key=list(map(sum, costs)).__getitem__, reverse=True)
-    cols = sorted(range(n), key=list(map(sum, zip(*costs))).__getitem__, reverse=True)
-    cf = [row[j] for row in map(costs.__getitem__, rows) for j in cols]
-    flow, pot = _least_cost_start(list(map(supply.__getitem__, rows)), list(map(demand.__getitem__, cols)), cf, n)
+    flow, pot = _least_cost_start(supply, demand, cf, n, order)
     # The start is optimal unless a cell prices negative under its own
     # potentials; only then does Bland's rule pivot, from the same basis.
     if _bland(cf, pot, flow, m, n) >= 0:

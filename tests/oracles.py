@@ -505,7 +505,7 @@ def wasserstein_1(mu, nu, cost) -> int:
         raise ValueError("masses must be non-negative")
     if sa != sb:
         raise ValueError(f"unbalanced measures: masses sum to {sa} and {sb}")
-    return transport_cost(a, b, [cf[i * n:i * n + n] for i in range(m)])
+    return transport_cost(a, b, cf, sorted(range(m * n), key=cf.__getitem__))
 
 
 def ollivier_ricci_checked(n: int, edges, alpha: float) -> list[float]:

@@ -303,7 +303,10 @@ class TestDatasetLines:
          "edge_features holds a number past the float range"),
         ({"num_nodes": 1, "label": 1e999}, "label holds a number past the float range"),
         ({"num_nodes": 1, "label": [1, [-1e999]]}, "label holds a number past the float range"),
-    ], ids=["negative-count", "edge-rows", "node-overflow", "edge-overflow", "label-overflow", "list-label-overflow"])
+        ({"num_nodes": 1, "label": {"x": 1e999}}, "label holds a number past the float range"),
+        ({"num_nodes": 1, "label": [{"x": [1, {"y": -1e999}]}]}, "label holds a number past the float range"),
+    ], ids=["negative-count", "edge-rows", "node-overflow", "edge-overflow", "label-overflow", "list-label-overflow",
+            "object-label-overflow", "nested-object-label-overflow"])
     def test_refused_record(self, tmp_path, capsys, record, message):
         # 1e999 is valid JSON syntax that overflows to an infinity; json.dumps
         # writes it as Infinity, which the reader refuses, so it is spelt out.
@@ -324,6 +327,46 @@ class TestDatasetLines:
         code, _, rows = run_features(tmp_path, capsys, text)
         assert code == 0
         assert [row[-1] for row in rows] == ["label", "1;2", "0.1", "1e+16", "x", ""]
+
+
+class TestDeepLabels:
+    """List and object labels nested as deep as `json` parses them load,
+    and `features` writes their cells, without running out of Python's
+    recursion. Each command runs in a fresh interpreter, whose stack is as
+    shallow as at a user's prompt; there `json` itself refuses a line from
+    about 990 levels on."""
+
+    DEPTHS = (331, 495, 980)
+    LABELS = {f"l{depth}": ("[" * depth + "1" + "]" * depth, "1") for depth in DEPTHS}
+    LABELS["o980"] = ('{"a": ' * 980 + "1" + "}" * 980, "{'a': " * 980 + "1" + "}" * 980)
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("".join(
+            f'{{"id": "{gid}", "num_nodes": 3, "edges": [[0, 1], [1, 2]], "label": {label}}}\n'
+            for gid, (label, _) in self.LABELS.items()
+        ))
+        return path
+
+    def test_features(self, deep, tmp_path):
+        out = tmp_path / "f.csv"
+        run_python("-m", "graphinv.cli", "features", "--dataset", str(deep), "--out", str(out))
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [(row[0], row[-1]) for row in rows[1:]] == [(gid, cell) for gid, (_, cell) in self.LABELS.items()]
+
+    def test_fingerprint(self, deep, tmp_path):
+        out = tmp_path / "fp.csv"
+        run_python("-m", "graphinv.cli", "fingerprint", "--dataset", str(deep), "--out", str(out))
+        assert [row[0] for row in csv.reader(out.read_text().splitlines())][1:] == list(self.LABELS)
+
+    def test_meta(self, deep, tmp_path):
+        other = tmp_path / "other.jsonl"
+        other.write_text(deep.read_text())
+        out = tmp_path / "m.csv"
+        run_python("-m", "graphinv.cli", "meta", "--datasets", str(deep), str(other), "--regime", "reduced",
+                   "--sample", str(len(self.LABELS)), "--out", str(out))
+        assert len(out.read_text().splitlines()) == 1 + 2 * len(self.LABELS)
 
 
 class TestEdgeCaseGolden:

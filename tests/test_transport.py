@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from graphinv.invariants import transport
+from graphinv.graph import make_graph
+from graphinv.invariants import topo, transport
 from graphinv.invariants.topo import ollivier_ricci
 from graphinv.invariants.transport import _bland, _least_cost_start, _tree, transport_cost
 
-from conftest import barabasi_albert, erdos_renyi
+from conftest import barabasi_albert, cycle_graph, disjoint_union, erdos_renyi, random_permutation, relabel, star_graph
 from oracles import adjacency, degrees, floyd_warshall, ollivier_ricci_checked, wasserstein_1, wasserstein_exhaustive
 
 
@@ -228,6 +229,13 @@ def balanced_instances(draw):
     return [w * sum(wb) for w in wa], [w * sum(wa) for w in wb], cost
 
 
+def solve(mu, nu, cost):
+    """`transport_cost` of a nested cost matrix, its rows and columns in the
+    given order and its cells in ascending cost order."""
+    cf = [c for row in cost for c in row]
+    return transport_cost(list(mu), list(nu), cf, sorted(range(len(cf)), key=cf.__getitem__))
+
+
 class TestStartCertificate:
     """The least-cost start reads its dual potentials off its closing order
     and is accepted without a basis tree when no cell prices negative."""
@@ -238,7 +246,7 @@ class TestStartCertificate:
         mu, nu, cost = instance
         m, n = len(mu), len(nu)
         cf = [c for row in cost for c in row]
-        flow, pot = _least_cost_start(list(mu), list(nu), cf, n)
+        flow, pot = _least_cost_start(list(mu), list(nu), cf, n, sorted(range(m * n), key=cf.__getitem__))
         assert len(flow) == m + n - 1
         for cell in flow:
             i, j = divmod(cell, n)
@@ -249,14 +257,14 @@ class TestStartCertificate:
     def test_start_accepted_exactly_when_tree_potentials_admit_no_entering_cell(self, instance):
         starts = []
 
-        def start(a, b, cf, n):
-            flow, pot = _least_cost_start(a, b, cf, n)
+        def start(a, b, cf, n, order):
+            flow, pot = _least_cost_start(a, b, cf, n, order)
             starts.append((dict(flow), cf, n))
             return flow, pot
 
         with mock.patch.object(transport, "_least_cost_start", start), \
                 mock.patch.object(transport, "_tree", wraps=_tree) as tree:
-            got = transport_cost(*instance)
+            got = solve(*instance)
         [(flow, cf, n)] = starts
         m = len(cf) // n
         accepted = not tree.called
@@ -283,11 +291,11 @@ class TestSplitting:
     @given(balanced_instances(), st.data())
     def test_splitting_a_row_or_a_column_leaves_the_cost(self, instance, data):
         mu, nu, cost = instance
-        want = transport_cost(mu, nu, cost)
+        want = solve(mu, nu, cost)
         rows_mu, rows = self.split(mu, cost, data)
-        assert transport_cost(rows_mu, nu, rows) == want
+        assert solve(rows_mu, nu, rows) == want
         cols_nu, cols = self.split(nu, [list(c) for c in zip(*cost)], data)
-        assert transport_cost(mu, cols_nu, [list(r) for r in zip(*cols)]) == want
+        assert solve(mu, cols_nu, [list(r) for r in zip(*cols)]) == want
 
 
 class TestUncheckedPath:
@@ -313,3 +321,36 @@ class TestUncheckedPath:
             deg = degrees(g.n_vertices, g.edges)
             widest = max(widest, max(deg[u] * deg[v] for u, v in g.edges))
         assert 2**55 * widest > 2**63
+
+    @staticmethod
+    def hubs():
+        """A wheel on 70 rim vertices and a star K_1,40, the hub numbered last
+        (the v of its edges, so its neighbours are sinks: 67 of them on the
+        wheel, past two 31-sink code words, and 39 on the star) and, on the
+        wheel, first (its neighbours are sources)."""
+        wheel = make_graph(71, list(cycle_graph(70).edges) + [(x, 70) for x in range(70)])
+        return [wheel, relabel(wheel, [*range(1, 71), 0]), relabel(star_graph(40), [40, *range(40)])]
+
+    @staticmethod
+    def scattered(rng):
+        """Several components and isolated vertices, labelled at random."""
+        g = disjoint_union(disjoint_union(erdos_renyi(12, 0.4, rng), cycle_graph(5)), star_graph(3))
+        g = make_graph(g.n_vertices + 4, g.edges)
+        return relabel(g, random_permutation(g.n_vertices, rng))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1 / 3, 0.5, 1e-300, 5e-324])
+    def test_wide_hubs_and_scattered_graphs(self, rng, alpha):
+        # 1/3, 1e-300 and 5e-324 have denominators 2**54, 2**1049 and 2**1074.
+        for g in self.hubs() + [self.scattered(rng) for _ in range(3)]:
+            want = np.array(ollivier_ricci_checked(g.n_vertices, g.edges, alpha))
+            assert ollivier_ricci(g, alpha).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 7, 60])
+    def test_small_batches(self, rng, monkeypatch, cells):
+        # One edge a batch, a few, and batches cut inside a hub's edges.
+        monkeypatch.setattr(topo, "_BATCH_CELLS", cells)
+        graphs = [erdos_renyi(14, 0.4, rng), barabasi_albert(40, 3, rng), self.scattered(rng), self.hubs()[0]]
+        for g in graphs:
+            for alpha in (0.1, 0.5):
+                want = np.array(ollivier_ricci_checked(g.n_vertices, g.edges, alpha))
+                assert ollivier_ricci(g, alpha).values.tobytes() == want.tobytes()
