@@ -155,12 +155,12 @@ def parse_pairs_jsonl(stream) -> list[GraphPair]:
     """Pairs text stream: one JSON object {pair_id, category, left, right}
     per line, where left/right follow the dataset graph schema."""
     pairs = []
-    for lineno, obj in read_jsonl(stream, prefix="pairs line"):
+    for lineno, obj, words in read_jsonl(stream, prefix="pairs line"):
         pair_id = str(obj.get("pair_id", f"pair{lineno - 1}"))
         category = str(obj.get("category", "Uncategorized"))
         try:
-            left = graph_from_obj(obj["left"], default_id=f"{pair_id}.left")
-            right = graph_from_obj(obj["right"], default_id=f"{pair_id}.right")
+            left = graph_from_obj(obj["left"], f"{pair_id}.left", words)
+            right = graph_from_obj(obj["right"], f"{pair_id}.right", words)
         except KeyError as exc:
             raise GraphDataError(f"pairs line {lineno}: malformed record ({exc})") from None
         pairs.append(GraphPair(left, right, category, pair_id))

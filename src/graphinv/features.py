@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, incidence_matrix
+from .graph import Graph, GraphDataError, adjacency_matrix, incidence_matrix
 from .registry import fingerprint_dataset, float_cells, write_csv
 
 DEFAULT_HOPS = 3
@@ -93,10 +93,14 @@ def write_features_csv(dataset, config: FeatureConfig, catalog, path) -> None:
         no_edges = np.zeros((0, *edge_dims))
         featured = [g if g.n_edges else replace(g, edge_features=no_edges) for g in dataset]
     hops = config.hops if config.mode == "agg" else 0
-    vecs = [feature_agg(g, hops) for g in featured]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the graph
+        vecs = [feature_agg(g, hops) for g in featured]
     dims = {vec.shape[0] for vec in vecs}
     if len(dims) > 1:
         raise ValueError(f"inconsistent feature widths across dataset: {sorted(dims)}")
+    for g, finite in zip(dataset, np.isfinite(np.array(vecs)).all(axis=1) if vecs else ()):
+        if not finite:
+            raise GraphDataError(f"graph {g.id!r}: aggregated features pass the float range")
     fingerprints = None if catalog is None else fingerprint_dataset(dataset, catalog)
 
     header: list[str] = ["graph_id"]

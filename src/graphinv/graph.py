@@ -60,7 +60,8 @@ def _feature_matrix(rows, name: str) -> np.ndarray:
     """Rows as a 2-d float64 array; [] (which JSON gives for any matrix
     without rows) is a 0 x 0 matrix. Anything else that is not a matrix of
     numbers, such as true, null or string cells, is a GraphDataError that
-    names the matrix. numpy promotes a bool among numbers to 0 or 1."""
+    names the matrix. numpy promotes a bool among numbers to 0 or 1, so
+    ``graph_from_obj`` looks for those."""
     try:
         x = np.asarray(rows)
         # JSON integers past int64 arrive as Python ints in an object array.
@@ -152,11 +153,13 @@ def _refuse_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def read_jsonl(stream: IO[str], prefix: str = "line") -> Iterator[tuple[int, dict]]:
-    """Yield ``(lineno, obj)`` for every non-blank line of a JSON-lines
-    text stream, numbered from 1. A line that is not valid JSON (holding
-    NaN or an infinity, or nested too deeply to parse), or not a JSON object,
-    raises :class:`GraphDataError` whose message starts with ``f"{prefix} {lineno}"``."""
+def read_jsonl(stream: IO[str], prefix: str = "line") -> Iterator[tuple[int, dict, bool]]:
+    """Yield ``(lineno, obj, words)`` for every non-blank line of a
+    JSON-lines text stream, numbered from 1; `words` tells whether the
+    line's text holds ``true`` or ``false``, without which no value of
+    `obj` is a bool. A line that is not valid JSON (holding NaN or an
+    infinity, or nested too deeply to parse), or not a JSON object, raises
+    :class:`GraphDataError` whose message starts with ``f"{prefix} {lineno}"``."""
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -171,7 +174,7 @@ def read_jsonl(stream: IO[str], prefix: str = "line") -> Iterator[tuple[int, dic
             raise GraphDataError(f"{prefix} {lineno}: invalid JSON (nested too deeply)") from None
         if not isinstance(obj, dict):
             raise GraphDataError(f"{prefix} {lineno}: not a JSON object")
-        yield lineno, obj
+        yield lineno, obj, "true" in line or "false" in line
 
 
 def _finite(label) -> bool:
@@ -190,7 +193,10 @@ def _finite(label) -> bool:
     return True
 
 
-def graph_from_obj(obj: dict, default_id: str) -> Graph:
+def graph_from_obj(obj: dict, default_id: str, bools: bool = True) -> Graph:
+    """The graph of a JSON graph object. Its feature cells must be numbers:
+    with `bools` (the object's line holds ``true`` or ``false``) each cell
+    is checked, since numpy would read a bool among numbers as 0 or 1."""
     if not isinstance(obj, dict):
         raise GraphDataError(f"graph {default_id!r}: not a JSON object")
     gid = str(obj.get("id", default_id))
@@ -207,7 +213,7 @@ def graph_from_obj(obj: dict, default_id: str) -> Graph:
     if not _finite(obj.get("label")):
         raise GraphDataError(f"graph {gid!r}: label holds a number past the float range")
     try:
-        return make_graph(
+        g = make_graph(
             n,
             edges,
             node_features=obj.get("node_features"),
@@ -217,12 +223,16 @@ def graph_from_obj(obj: dict, default_id: str) -> Graph:
         )
     except GraphDataError as exc:
         raise GraphDataError(f"graph {gid!r}: {exc}") from None
+    for name in ("node_features", "edge_features") if bools else ():
+        if any(type(c) is bool for row in obj.get(name) or () for c in row):
+            raise GraphDataError(f"graph {gid!r}: {name} is not a matrix of numbers")
+    return g
 
 
 def parse_jsonl_dataset(stream: IO[str], name: str = "") -> GraphDataset:
     """Parse a JSON-lines dataset text stream, one graph object per line,
     preserving order. Graph ids must be unique."""
-    graphs = [graph_from_obj(obj, default_id=f"g{lineno - 1}") for lineno, obj in read_jsonl(stream)]
+    graphs = [graph_from_obj(obj, f"g{lineno - 1}", words) for lineno, obj, words in read_jsonl(stream)]
     seen: set[str] = set()
     for g in graphs:
         if g.id in seen:

@@ -4,27 +4,12 @@ Counts adjacency-preserving (not necessarily injective) vertex maps from
 each catalog pattern into a host graph by dynamic programming over a
 path decomposition of the pattern. Vertices are placed one at a time in
 a connected order chosen to minimize the active-boundary width; the
-table after each placement holds one row per distinct image of the
-boundary vertices, as an integer key array (rows x boundary width) and
-a count array, and a vertex whose pattern neighbours are all placed is
-summed out at once (duplicate rows are merged by sorting their base-n
-key codes, or the key columns when n**width exceeds int64, and adding
-with ``np.add.reduceat``).
-
-One placement extends every row along the CSR neighbour list of the
-image of its first already-placed neighbour, keeps the candidates that
-are adjacent to the images of the others (a read of the dense adjacency
-matrix) and projects onto the next boundary. A vertex that is summed
-out as soon as it is placed only multiplies each row's count by its
-number of images: the degree of its one anchor's image, the entry of
-A @ A (common neighbours) for two anchors, and the extensions counted
-row by row for three or more. The last placement of a plan keeps no
-column, so the plan's count is the sum of the counts times those
-numbers, without building or merging the final rows. Rows are extended
-at most ``_CHUNK_ROWS`` candidates at a time. The table after a
-sequence of placements depends only on that sequence, so the 31 plans
-are walked as a trie: a shared prefix (63 distinct ones for 138 steps)
-is computed once and reused by every pattern below it.
+table after each placement counts the partial maps per distinct image
+of the boundary vertices, and a vertex whose pattern neighbours are all
+placed is summed out at once. The table after a sequence of placements
+depends only on that sequence, so the 31 plans are walked as a trie: a
+shared prefix (63 distinct ones for 138 steps) is computed once and
+reused by every pattern below it.
 
 The DP runs over a chunk of graphs at once, so that its numpy calls,
 about 60 placements per walk, are paid once per chunk rather than once
@@ -41,14 +26,50 @@ and leaving the block drops them. Outside such a block a graph is
 counted alone. If the union raises, each graph of the chunk is counted
 alone, so an error lands on the graph that causes it.
 
-Memory is O(m + table) for tree patterns, whose steps all have one
-anchor; the tables of a chunk hold the rows of all its graphs. The
-first step with two or more anchors reads each graph's n x n adjacency
-matrix and the first two-anchor sum-out computes its A @ A, both stored
-flat per chunk: at most 2**16 entries each for a chunk of several
-graphs, n**2 for a large graph alone, which pays one n**3 product and
-O(n**2) memory on top. The full regime builds n x n matrices of each
-graph anyway (distances, Laplacians).
+Tables come in two forms. A sparse table is an integer key array (rows
+x boundary width) and a count array. One placement extends every row
+along the CSR neighbour list of the image of its first already-placed
+neighbour, keeps the candidates that are adjacent to the images of the
+others (a read of the dense adjacency matrix) and projects onto the next
+boundary; duplicate rows are merged by sorting their base-n key codes,
+or the key columns when n**width exceeds int64, and adding with
+``np.add.reduceat``. A vertex that is summed out as soon as it is placed
+only multiplies each row's count by its number of images: the degree of
+its one anchor's image, the entry of A @ A (common neighbours) for two
+anchors, and for three or more the extensions counted row by row. Rows
+are extended at most ``_CHUNK_ROWS`` candidates at a time.
+
+On a dense host every table of width 1 or 2 is dense: per graph a vector
+of n counts or an n x n matrix, stacked per run of graphs with equal n
+(the host's graphs are sorted by n), so a chunk's tables take its summed
+n**2 entries and no graph is padded to the largest. Each step that reads
+one is matrix algebra on the stacks, with T the table and A the
+adjacency: one anchor with the other column summed out is T @ A or
+T.T @ A, two anchors are (T @ A) * A, keeping only the new vertex is a
+column sum, and summing the new vertex out multiplies T by the degrees
+or by A @ A. A step to width 3 or more takes the nonzero entries as key
+rows, in (graph, key) order, and a step back to width 2 or less adds its
+rows into the blocks with ``np.bincount``, which also merges them. A
+step with three or more anchors counts each row's images as the set
+bits of the AND of the anchors' adjacency rows, packed 64 to a word.
+``_count`` walks the graphs counted dense as one host and the others as
+another: a graph is dense when n <= ``_DENSE_ORDER`` = 256 and its mean
+degree d has d**2 >= ``_DENSE_FILL`` * n. d**2 / n is about the share
+of the n**2 entries its width-2 tables fill; below 0.08 the sparse steps
+were faster on Erdos-Renyi graphs of 16 to 250 vertices, alone and in
+chunks.
+
+Memory is O(m + table) for tree patterns on a sparse host, whose steps
+all have one anchor; the tables of a chunk hold the rows of all its
+graphs. The first step with two or more anchors reads each graph's
+n x n adjacency matrix and the first two-anchor sum-out computes its
+A @ A, both stored flat per chunk: at most 2**16 entries each for a
+chunk of several graphs, n**2 for a large graph alone, which pays one
+n**3 product and O(n**2) memory on top. A dense host holds those and
+the dense tables along one path of the trie (at most 2**16 entries
+each), and extends or counts at most ``_CHUNK_ROWS`` sparse rows at a
+time. The full regime builds n x n matrices of each graph anyway
+(distances, Laplacians).
 
 Counts are exact. Every partial table counts maps of a connected
 pattern with at most five vertices into one graph, so no entry or sum
@@ -56,8 +77,9 @@ exceeds n * maxdeg**4 of that graph; when that bound fits in int64 for
 every graph of the chunk the counts are int64, otherwise they are
 Python integers (``dtype=object``) on the same code path. A graph with
 n <= 256 has a bound below 2**40, so only a graph counted alone can
-need Python integers. Counts above the int64 range are reported by
-``overflows_int64``.
+need Python integers, and the float64 entries of dense tables, and every
+partial sum of the products that make them, are exact integers.
+Counts above the int64 range are reported by ``overflows_int64``.
 """
 
 from __future__ import annotations
@@ -77,6 +99,8 @@ _INT64_MAX = 2**63 - 1
 _CHUNK_ROWS = 1 << 13  # candidate rows built at once within one step
 _CHUNK_SQUARES = 1 << 16  # summed n**2 of the graphs counted together
 _MAX_ORDER = max(p.n_vertices for p in PATTERN_CATALOG)
+_DENSE_ORDER = 256  # the largest graph counted dense: every count stays below 2**40
+_DENSE_FILL = 0.08  # see `_is_dense`
 
 
 @dataclass(frozen=True)
@@ -123,6 +147,12 @@ _PLANS = tuple(_plan_for_order(p, tuple(map(int, order))) for p, order in zip(PA
 _ALL = range(len(_PLANS))
 
 
+class _Blocks(tuple):
+    """A dense table of width 0, 1 or 2 on a dense host: per run of graphs
+    with equal n, an array of shape (graphs,) + (n,) * width whose entry at
+    a key (in local ids) is that key's count, an exact integer in float64."""
+
+
 @dataclass(frozen=True)
 class _Host:
     """The disjoint union of a chunk of graphs as CSR neighbour lists over
@@ -133,7 +163,10 @@ class _Host:
     common-neighbour counts A @ A, built on first use and stored flat,
     one block per graph. Every vertex of a table row lies in one graph,
     so a read at (u, v) is the entry ``base[u] + local[v]`` of that
-    graph's block."""
+    graph's block. ``split`` views flat per-graph, per-vertex or per-block
+    arrays as one stack per run of consecutive graphs with equal n, and
+    a dense host (every graph `_is_dense`, counts within int64) holds
+    its tables of width 1 and 2 that way."""
 
     graphs: tuple[Graph, ...]
     n: int
@@ -142,6 +175,7 @@ class _Host:
     graph: np.ndarray  # per vertex, the position of its graph in `graphs`
     sizes: np.ndarray  # per graph, its number of vertices
     dtype: object  # of the counts: np.int64, or object when that could overflow
+    dense: bool  # tables of width 1 and 2 are `_Blocks`
 
     @classmethod
     def of(cls, *graphs: Graph) -> _Host:
@@ -157,7 +191,8 @@ class _Host:
         max_deg = np.zeros(len(graphs), dtype=np.int64)
         np.maximum.at(max_deg, graph, np.diff(indptr))
         fits = all(k * d ** (_MAX_ORDER - 1) <= _INT64_MAX for k, d in zip(sizes.tolist(), max_deg.tolist()))
-        return cls(graphs, n, indptr, codes % n, graph, sizes, np.int64 if fits else object)
+        dense = fits and all(map(_is_dense, graphs))
+        return cls(graphs, n, indptr, codes % n, graph, sizes, np.int64 if fits else object, dense)
 
     @cached_property
     def local(self) -> np.ndarray:
@@ -170,6 +205,21 @@ class _Host:
         blocks."""
         squares = self.sizes**2
         return (np.cumsum(squares) - squares)[self.graph] + self.local * self.sizes[self.graph]
+
+    @cached_property
+    def _runs(self) -> list[tuple[int, int]]:
+        """Per run of consecutive graphs with equal n: (graphs, n)."""
+        cuts = [0, *(np.flatnonzero(np.diff(self.sizes)) + 1).tolist(), len(self.sizes)]
+        return [(stop - start, int(self.sizes[start])) for start, stop in zip(cuts, cuts[1:])]
+
+    def split(self, flat: np.ndarray, width: int) -> _Blocks:
+        """`flat`, one value per graph (width 0), per vertex (1) or per
+        block entry (2), as per-run views of shape (graphs,) + (n,) * width."""
+        parts, start = [], 0
+        for k, n in self._runs:
+            parts.append(flat[start:start + k * n**width].reshape((k,) + (n,) * width))
+            start += k * n**width
+        return _Blocks(parts)
 
     @cached_property
     def _adjacency(self) -> np.ndarray:
@@ -185,18 +235,48 @@ class _Host:
         """(A @ A)[u, v] per graph: the number of common neighbours of u and
         v, exact in float64."""
         common = np.empty_like(self._adjacency)
-        start = 0
-        for n in self.sizes.tolist():
-            a = self._adjacency[start:start + n * n].reshape(n, n)
-            np.matmul(a, a, out=common[start:start + n * n].reshape(n, n))
-            start += n * n
+        for a, c in zip(self.split(self._adjacency, 2), self.split(common, 2)):
+            np.matmul(a, a, out=c)
         return common
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """Per vertex, its row of its graph's adjacency matrix as a bit set
+        over local ids, in words of 64 bits: shape (n, words), uint64."""
+        rows = np.zeros((self.n, -(-int(self.sizes.max()) // 64) * 64), dtype=bool)
+        rows[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.local[self.indices]] = True
+        return np.packbits(rows, axis=1).view(np.uint64)
+
+    @cached_property
+    def adjacency_runs(self) -> _Blocks:
+        return self.split(self._adjacency, 2)
+
+    @cached_property
+    def degree_runs(self) -> _Blocks:
+        return self.split(np.diff(self.indptr).astype(float), 1)
+
+    @cached_property
+    def common_runs(self) -> _Blocks:
+        return self.split(self._common, 2)
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._adjacency[self.base[u] + self.local[v]] > 0
 
     def common(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._common[self.base[u] + self.local[v]].astype(np.int64)
+
+    def shared(self, ends: np.ndarray) -> np.ndarray:
+        """Per row of `ends`, the number of common neighbours of its
+        vertices, by the set bits of the AND of their rows, at most
+        `_CHUNK_ROWS` rows at a time."""
+        out = np.empty(len(ends), dtype=np.int64)
+        for start in range(0, len(ends), _CHUNK_ROWS):
+            part = ends[start:start + _CHUNK_ROWS]
+            acc = self._bits[part[:, 0]]
+            for column in part.T[1:]:
+                acc &= self._bits[column]
+            out[start:start + _CHUNK_ROWS] = np.bitwise_count(acc).sum(axis=1)
+        return out
 
 
 def _sum_duplicates(keys: np.ndarray, counts: np.ndarray, n: int):
@@ -256,23 +336,101 @@ def _images(keys: np.ndarray, step: _Step, host: _Host) -> np.ndarray:
         a, b = step.anchors
         return host.common(keys[:, a], keys[:, b])
     if len(step.anchors) > 2:
+        if host.dense:
+            return host.shared(keys[:, step.anchors])
         return sum(np.bincount(rows, minlength=len(keys)) for rows, _ in _extensions(keys, step, host))
     return _neighbour_lists(keys, step, host)[1]
 
 
-def _place(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host):
-    """The table after `step`, from the table `keys`, `counts` before it."""
+def _dense_step(t: np.ndarray, step: _Step, a: np.ndarray, degree: np.ndarray, common: Callable[[], np.ndarray]):
+    """One run's block of the table after `step`, from its block `t` of
+    width 0, 1 or 2 before it; `a` is the run's adjacency stack and
+    `degree` its degree rows. The new vertex x has images adjacent to
+    the anchors' images; every column that `step` drops is summed out."""
+    width = t.ndim - 1
+    k, n = degree.shape
+    if width not in step.keep:  # x is summed out: weight each entry by its number of images
+        if not step.anchors:
+            images = n
+        elif len(step.anchors) == 2:
+            images = common()
+        else:
+            images = degree.reshape((k,) + tuple(n if i in step.anchors else 1 for i in range(width)))
+        return (t * images).sum(axis=tuple(1 + i for i in range(width) if i not in step.keep))
+    if not width:
+        return t[:, None] * np.ones(n)
+    # m[p, x]: the table with old column p and x, the other old column q
+    # summed out (T @ A when q is an anchor); p is the kept old column, or
+    # column 0 when only x is kept, and is summed out last.
+    p = step.keep[0] if len(step.keep) == 2 else 0
+    if width == 1:
+        m = t[:, :, None]
+    else:
+        tp = t.swapaxes(1, 2) if p else t
+        m = tp @ a if 1 - p in step.anchors else tp.sum(axis=2)[:, :, None]
+    if p in step.anchors:
+        m = m * a
+    return m if len(step.keep) == 2 else m.sum(axis=1)
+
+
+def _dense_place(table: _Blocks, step: _Step, host: _Host) -> _Blocks:
+    """The dense table after `step`, which keeps at most two columns."""
+    return _Blocks(
+        _dense_step(t, step, a, degree, lambda r=r: host.common_runs[r])
+        for r, (t, a, degree) in enumerate(zip(table, host.adjacency_runs, host.degree_runs))
+    )
+
+
+def _rows(table: _Blocks, host: _Host) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of a dense width-2 table as key rows of global
+    vertex ids and int64 counts, in (graph, key) order."""
+    keys, counts, start = [], [], 0
+    for t in table:
+        g, u, v = np.nonzero(t)
+        first = start + g * t.shape[1]
+        keys.append(np.column_stack([first + u, first + v]))
+        counts.append(t[g, u, v].astype(np.int64))
+        start += t.shape[0] * t.shape[1]
+    return np.concatenate(keys), np.concatenate(counts)
+
+
+def _blocks(keys: np.ndarray, counts: np.ndarray, host: _Host) -> _Blocks:
+    """The dense table of key rows of width 0 (one row per graph, its
+    total), 1 or 2, adding the counts of equal keys."""
     width = keys.shape[1]
-    merges = sum(k < width for k in step.keep) < width  # an old column is summed out
+    if not width:
+        return host.split(counts, 0)
+    if width == 1:
+        at, size = keys[:, 0], host.n
+    else:
+        at, size = host.base[keys[:, 0]] + host.local[keys[:, 1]], len(host._adjacency)
+    return host.split(np.bincount(at, weights=counts, minlength=size), width)
+
+
+def _place(table, step: _Step, host: _Host):
+    """The table after `step`, from the table before it."""
+    if isinstance(table, _Blocks):
+        if len(step.keep) <= 2:
+            return _dense_place(table, step, host)
+        table = _rows(table, host)
+    keys, counts = table
+    if not len(counts):
+        return table  # no partial map survives: every count below is 0
+    width = keys.shape[1]
+    dense = host.dense and len(step.keep) <= 2  # the rows are added into blocks, not merged
+    merges = not dense and sum(k < width for k in step.keep) < width  # an old column is summed out
     if width not in step.keep:
         # The new vertex is summed out at once: multiply each row's count
         # by its number of images instead of building the extended rows.
         if not step.keep:  # the plan is finished: one row per graph holds its total
-            return keys[:0, :0], _totals(keys, counts, step, host)
-        images = _images(keys, step, host)
-        live = images > 0
-        keys, counts = keys[live][:, step.keep], counts[live] * images[live]
-        return _sum_duplicates(keys, counts, host.n) if merges else (keys, counts)
+            keys, counts = keys[:0, :0], _totals(keys, counts, step, host)
+        else:
+            images = _images(keys, step, host)
+            live = images > 0
+            keys, counts = keys[live][:, step.keep], counts[live] * images[live]
+            if merges:
+                keys, counts = _sum_duplicates(keys, counts, host.n)
+        return _blocks(keys, counts, host) if dense else (keys, counts)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     merged = pending = 0  # rows in `parts` from the last merge, and since
     for rows, x in _extensions(keys, step, host):
@@ -287,7 +445,7 @@ def _place(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host):
     keys, counts = map(np.concatenate, zip(*parts))
     if merges and len(parts) > 1:
         keys, counts = _sum_duplicates(keys, counts, host.n)
-    return keys, counts
+    return _blocks(keys, counts, host) if dense else (keys, counts)
 
 
 def _totals(keys: np.ndarray, counts: np.ndarray, step: _Step, host: _Host) -> np.ndarray:
@@ -304,27 +462,45 @@ def _walk(table, depth: int, members: list[tuple[int, tuple[_Step, ...]]], host:
     """Finish every plan in `members`, all of whose first `depth` steps
     produced `table`, writing its per-graph counts to `out` at its
     position."""
-    if not len(table[1]):
+    if not isinstance(table, _Blocks) and not len(table[1]):
         return  # no partial map survives: every count below is 0
     children: dict[_Step, list[tuple[int, tuple[_Step, ...]]]] = {}
     for pos, plan in members:
         if depth == len(plan):
-            out[pos] = table[1]
+            out[pos] = np.concatenate(table) if isinstance(table, _Blocks) else table[1]
         else:
             children.setdefault(plan[depth], []).append((pos, plan))
     for step, group in children.items():
-        _walk(_place(*table, step, host), depth + 1, group, host, out)
+        _walk(_place(table, step, host), depth + 1, group, host, out)
+
+
+def _is_dense(g: Graph) -> bool:
+    """Whether `g` is counted on a dense host: n <= 256 and its mean
+    degree d has d**2 >= `_DENSE_FILL` * n, d**2 / n being about the share
+    of the n**2 entries that its width-2 tables fill."""
+    n = g.n_vertices
+    return n <= _DENSE_ORDER and (2 * g.n_edges) ** 2 >= _DENSE_FILL * n**3
 
 
 def _count(graphs: Sequence[Graph], indices: Iterable[int]) -> list[list[int]]:
     """Exact homomorphism counts of the catalog patterns at `indices` into
-    each of `graphs`, by one walk over their disjoint union."""
+    each of `graphs`: one walk over the disjoint union of the graphs
+    counted dense, sorted by vertex count, and one over the others."""
     members = [(pos, _PLANS[i]) for pos, i in enumerate(indices)]
-    host = _Host.of(*graphs)
-    out = [np.zeros(len(graphs), dtype=host.dtype)] * len(members)
-    root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
-    _walk(root, 0, members, host, out)
-    return [list(map(int, column)) for column in zip(*out)] if out else [[] for _ in graphs]
+    counts: list[list[int]] = [[] for _ in graphs]
+    dense = [_is_dense(g) for g in graphs]
+    parts = (
+        sorted((i for i, d in enumerate(dense) if d), key=lambda i: graphs[i].n_vertices),
+        [i for i, d in enumerate(dense) if not d],
+    )
+    for part in filter(None, parts):
+        host = _Host.of(*(graphs[i] for i in part))
+        out = [np.zeros(len(part), dtype=host.dtype)] * len(members)
+        root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
+        _walk(host.split(np.ones(len(part)), 0) if host.dense else root, 0, members, host, out)
+        for i, column in zip(part, zip(*out)):
+            counts[i] = list(map(int, column))
+    return counts
 
 
 def chunks(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, ...]]:

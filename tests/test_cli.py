@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,56 @@ class TestDatasetLines:
         # writes it as Infinity, which the reader refuses, so it is spelt out.
         text = json.dumps({"id": "gx", **record}).replace("Infinity", "1e999") + "\n"
         assert run_features(tmp_path, capsys, text) == (2, [f"graphinv: graph 'gx': {message}"], None)
+
+    @pytest.mark.parametrize("record, message", [
+        ({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.5, True], [1, 2]]},
+         "node_features is not a matrix of numbers"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1, 2], [False, 0]]},
+         "node_features is not a matrix of numbers"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "edge_features": [[1.5, True]]},
+         "edge_features is not a matrix of numbers"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "edge_features": [[2, False]], "label": 1},
+         "edge_features is not a matrix of numbers"),
+    ], ids=["node-true-float", "node-false-int", "edge-true-float", "edge-false-int"])
+    def test_bool_among_numbers_refused(self, tmp_path, capsys, record, message):
+        # numpy would read the bool as 1 or 0 among the numbers.
+        text = json.dumps({"id": "gx", **record}) + "\n"
+        assert run_features(tmp_path, capsys, text) == (2, [f"graphinv: graph 'gx': {message}"], None)
+
+    def test_bool_among_numbers_refused_in_pairs(self, tmp_path, capsys):
+        left = {"id": "gx", "num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.5], [True]]}
+        pairs, report = tmp_path / "p.jsonl", tmp_path / "r.json"
+        pairs.write_text(json.dumps({"pair_id": "p", "left": left, "right": {"num_nodes": 1}}) + "\n")
+        assert main(["expressivity", "--pairs", str(pairs), "--report", str(report)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["graphinv: graph 'gx': node_features is not a matrix of numbers"]
+        assert not report.exists()
+
+    def test_true_and_false_outside_feature_cells_load(self, tmp_path, capsys):
+        # A line holding the words elsewhere has its cells checked, and loads
+        # as the same line without them does.
+        record = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.5, 1], [0, 2]],
+                  "edge_features": [[0.5]]}
+        plain = run_features(tmp_path, capsys, json.dumps({"id": "gx", **record}) + "\n")
+        worded = run_features(tmp_path, capsys, json.dumps({"id": "true-false", **record, "label": True}) + "\n")
+        assert plain[:2] == worded[:2] == (0, [])
+        assert worded[2][0][:-1] == plain[2][0] and worded[2][1][1:-1] == plain[2][1][1:]
+        assert worded[2][1][0] == "true-false" and worded[2][1][-1] == "True"
+
+    def test_aggregate_past_the_float_range_refused(self, tmp_path, capsys):
+        # Each cell is finite; their sums are not. numpy prints no warning.
+        data, out = tmp_path / "d.jsonl", tmp_path / "rows.csv"
+        data.write_text(
+            json.dumps({"id": "ok", "num_nodes": 1, "node_features": [[1.0]]}) + "\n"
+            + json.dumps({"id": "gx", "num_nodes": 3, "edges": [[0, 1]], "node_features": [[1e308]] * 3}) + "\n"
+        )
+        for mode in (["--mode", "agg", "--hops", "2"], ["--mode", "sum"], ["--combine", "I"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning would raise here
+                assert main(["features", "--dataset", str(data), "--out", str(out), *mode]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "graphinv: graph 'gx': aggregated features pass the float range"
+            ]
+            assert not out.exists()
 
     def test_blank_lines_are_counted(self, tmp_path, capsys):
         # Default ids and line numbers count the blank lines too.

@@ -78,7 +78,7 @@ class TestParseJsonl:
     @given(st.lists(featured_graphs(), max_size=4))
     def test_graph_to_obj_round_trip(self, graphs):
         text = "\n".join(json.dumps(graph_to_obj(g)) for g in graphs)
-        back = [graph_from_obj(obj, "default") for _, obj in read_jsonl(io.StringIO(text, newline=None))]
+        back = [graph_from_obj(obj, "default", words) for _, obj, words in read_jsonl(io.StringIO(text, newline=None))]
         assert len(back) == len(graphs)
         for h, g in zip(back, graphs):
             assert (h.n_vertices, h.edges, h.id, h.label) == (g.n_vertices, g.edges, g.id, g.label)
@@ -155,7 +155,7 @@ class TestParseJsonl:
         path.write_bytes(text.encode("utf-8"))
         with open(path, encoding="utf-8") as fh:
             from_file = list(read_jsonl(fh))
-        assert from_file == [(1, records[0]), (2, records[1]), (3, records[2])]
+        assert from_file == [(1, records[0], False), (2, records[1], False), (3, records[2], False)]
 
     def test_edge_features_follow_canonical_order(self):
         # input edges reversed and out of order; rows must be re-paired

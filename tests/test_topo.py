@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -318,6 +319,70 @@ class TestHomomorphismOracleProperties:
             for p in PATTERN_CATALOG
         ]
         assert count_all_patterns(g) == want
+
+
+class TestDenseTables:
+    """The dense steps (width-1 and width-2 tables as per-graph blocks) and
+    the sparse steps give the same counts on the same chunks. The choice
+    is forced by `_DENSE_FILL`: 0 makes every graph with n <= 256 dense,
+    infinity none."""
+
+    @staticmethod
+    def counts(graphs, fill, monkeypatch):
+        monkeypatch.setattr(homcount, "_DENSE_FILL", fill)
+        dense = [homcount._is_dense(g) for g in graphs]
+        assert dense == [fill == 0 and g.n_vertices <= 256 for g in graphs]
+        return homcount._count(graphs, range(len(PATTERN_CATALOG)))
+
+    def assert_same(self, graphs, monkeypatch):
+        dense = self.counts(graphs, 0.0, monkeypatch)
+        assert dense == self.counts(graphs, math.inf, monkeypatch)
+        return dense
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(block_graphs(max_n=12), min_size=1, max_size=6))
+    def test_block_graph_chunks(self, graphs):
+        with pytest.MonkeyPatch.context() as mp:
+            self.assert_same(graphs, mp)
+
+    def test_mixed_vertex_counts(self, monkeypatch):
+        # One run of 500 graphs and one of a single graph; summed n**2
+        # stays within one chunk.
+        rng = random.Random(3)
+        graphs = [erdos_renyi(181, 4 / 180, rng)] + [erdos_renyi(8, 0.5, rng) for _ in range(500)]
+        assert len(list(homcount.chunks(graphs))) == 1
+        self.assert_same(graphs, monkeypatch)
+
+    def test_one_graph(self, monkeypatch):
+        # Rows extended and images counted a few at a time, too.
+        rng = random.Random(4)
+        for g in [erdos_renyi(12, 0.5, rng), barabasi_albert(14, 3, rng), complete_graph(6)]:
+            want = [count_homomorphisms_einsum(p.n_vertices, p.edges, adjacency_matrix(g)) for p in PATTERN_CATALOG]
+            assert self.assert_same([g], monkeypatch) == [want]
+            monkeypatch.setattr(homcount, "_CHUNK_ROWS", 5)
+            assert self.assert_same([g], monkeypatch) == [want]
+            monkeypatch.undo()
+
+    def test_isolated_vertices(self, monkeypatch):
+        graphs = [
+            disjoint_union(cycle_graph(5), empty_graph(3)), empty_graph(4), empty_graph(0),
+            disjoint_union(empty_graph(2), complete_graph(4)), star_graph(6),
+        ]
+        counts = self.assert_same(graphs, monkeypatch)
+        assert counts[1] == [4] + [0] * (len(PATTERN_CATALOG) - 1)
+        assert counts[2] == [0] * len(PATTERN_CATALOG)
+
+    def test_host_form(self, monkeypatch):
+        # The dense form needs every graph within 256 vertices and counts
+        # within int64; the default fill keeps sparse graphs sparse.
+        monkeypatch.setattr(homcount, "_DENSE_FILL", 0.0)
+        assert homcount._Host.of(cycle_graph(256), empty_graph(3)).dense
+        assert not homcount._Host.of(cycle_graph(257)).dense
+        assert not homcount._Host.of(cycle_graph(5), cycle_graph(257)).dense
+        monkeypatch.setattr(homcount, "_INT64_MAX", 1)
+        assert not homcount._Host.of(cycle_graph(5)).dense
+        monkeypatch.undo()
+        assert homcount._is_dense(complete_graph(8)) and not homcount._is_dense(cycle_graph(200))
 
 
 class TestTreewidthSplit:
