@@ -193,7 +193,7 @@ def _finite(label) -> bool:
     return True
 
 
-def graph_from_obj(obj: dict, default_id: str, bools: bool = True) -> Graph:
+def graph_from_obj(obj: dict, default_id: str, bools: bool) -> Graph:
     """The graph of a JSON graph object. Its feature cells must be numbers:
     with `bools` (the object's line holds ``true`` or ``false``) each cell
     is checked, since numpy would read a bool among numbers as 0 or 1."""
