@@ -39,37 +39,39 @@ its one anchor's image, the entry of A @ A (common neighbours) for two
 anchors, and for three or more the extensions counted row by row. Rows
 are extended at most ``_CHUNK_ROWS`` candidates at a time.
 
-On a dense host every table of width 1 or 2 is dense: per graph a vector
-of n counts or an n x n matrix, stacked per run of graphs with equal n
-(the host's graphs are sorted by n), so a chunk's tables take its summed
-n**2 entries and no graph is padded to the largest. Each step that reads
-one is matrix algebra on the stacks, with T the table and A the
-adjacency: one anchor with the other column summed out is T @ A or
+On a dense host every table of width 1 or 2 is a vector of n counts or
+an n x n matrix per graph, stacked per run of graphs with equal n
+(``_count`` sorts the host's graphs by n), so a chunk's tables take its
+summed n**2 entries and no graph is padded to the largest. Each step
+that reads one is matrix algebra on the stacks, with T the table and A
+the adjacency: one anchor with the other column summed out is T @ A or
 T.T @ A, two anchors are (T @ A) * A, keeping only the new vertex is a
 column sum, and summing the new vertex out multiplies T by the degrees
 or by A @ A. A step to width 3 or more takes the nonzero entries as key
 rows, in (graph, key) order, and a step back to width 2 or less adds its
 rows into the blocks with ``np.bincount``, which also merges them. A
-step with three or more anchors counts each row's images as the set
-bits of the AND of the anchors' adjacency rows, packed 64 to a word.
-``_count`` walks the graphs counted dense as one host and the others as
-another: a graph is dense when n <= ``_DENSE_ORDER`` = 256 and its mean
-degree d has d**2 >= ``_DENSE_FILL`` * n. d**2 / n is about the share
-of the n**2 entries its width-2 tables fill; below 0.08 the sparse steps
-were faster on Erdos-Renyi graphs of 16 to 250 vertices, alone and in
-chunks.
+step with three or more anchors counts each row's images as the set bits
+of the AND of the anchors' adjacency rows, packed 8 to a byte. A host is
+dense when each of its graphs has n <= ``_DENSE_ORDER`` = 256, as every
+chunk of several graphs does, and its summed squared degrees reach
+``_DENSE_FILL`` = 0.12 of its summed n**2. The first sum counts the
+walks of length 2, about the rows of a sparse width-2 table, and the
+second the entries of a dense one: a dense step costs about the same on
+a full table as on an empty one, so below that share the sparse steps
+are faster (on Erdos-Renyi graphs of 32 to 250 vertices, alone and
+several to a chunk).
 
 Memory is O(m + table) for tree patterns on a sparse host, whose steps
-all have one anchor; the tables of a chunk hold the rows of all its
-graphs. The first step with two or more anchors reads each graph's
-n x n adjacency matrix and the first two-anchor sum-out computes its
-A @ A, both stored flat per chunk: at most 2**16 entries each for a
+all have one anchor. The first step with two or more anchors reads each
+graph's n x n adjacency matrix and the first two-anchor sum-out computes
+its A @ A, both stored flat per host: at most 2**16 entries each for a
 chunk of several graphs, n**2 for a large graph alone, which pays one
-n**3 product and O(n**2) memory on top. A dense host holds those and
-the dense tables along one path of the trie (at most 2**16 entries
-each), and extends or counts at most ``_CHUNK_ROWS`` sparse rows at a
-time. The full regime builds n x n matrices of each graph anyway
-(distances, Laplacians).
+n**3 product and O(n**2) memory on top. A dense host holds those, the
+dense tables along one path of the trie (at most 2**16 entries each) and
+the packed adjacency rows (per vertex, one byte per 8 vertices of its
+largest graph), and extends or counts at most ``_CHUNK_ROWS`` sparse
+rows at a time. The full regime builds n x n matrices of each graph
+anyway (distances, Laplacians).
 
 Counts are exact. Every partial table counts maps of a connected
 pattern with at most five vertices into one graph, so no entry or sum
@@ -100,7 +102,8 @@ _CHUNK_ROWS = 1 << 13  # candidate rows built at once within one step
 _CHUNK_SQUARES = 1 << 16  # summed n**2 of the graphs counted together
 _MAX_ORDER = max(p.n_vertices for p in PATTERN_CATALOG)
 _DENSE_ORDER = 256  # the largest graph counted dense: every count stays below 2**40
-_DENSE_FILL = 0.08  # see `_is_dense`
+_DENSE_FILL = 0.12  # the least share of dense table entries a host fills to be counted dense
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ class _Blocks(tuple):
 class _Host:
     """The disjoint union of a chunk of graphs as CSR neighbour lists over
     global vertex ids; the vertices of each graph are consecutive, in
-    chunk order. Steps with two or more anchors also read each graph's
+    the order given. Steps with two or more anchors also read each graph's
     dense adjacency matrix (set from the CSR, or a lone graph's cached
     ``graph.adjacency_matrix``) and, on a two-anchor sum-out, its
     common-neighbour counts A @ A, built on first use and stored flat,
@@ -165,8 +168,8 @@ class _Host:
     so a read at (u, v) is the entry ``base[u] + local[v]`` of that
     graph's block. ``split`` views flat per-graph, per-vertex or per-block
     arrays as one stack per run of consecutive graphs with equal n, and
-    a dense host (every graph `_is_dense`, counts within int64) holds
-    its tables of width 1 and 2 that way."""
+    a dense host (every graph within `_DENSE_ORDER` vertices, tables
+    filled to `_DENSE_FILL`) holds its tables of width 1 and 2 that way."""
 
     graphs: tuple[Graph, ...]
     n: int
@@ -191,7 +194,8 @@ class _Host:
         max_deg = np.zeros(len(graphs), dtype=np.int64)
         np.maximum.at(max_deg, graph, np.diff(indptr))
         fits = all(k * d ** (_MAX_ORDER - 1) <= _INT64_MAX for k, d in zip(sizes.tolist(), max_deg.tolist()))
-        dense = fits and all(map(_is_dense, graphs))
+        filled = int((np.diff(indptr) ** 2).sum()) >= _DENSE_FILL * int((sizes**2).sum())
+        dense = int(sizes.max()) <= _DENSE_ORDER and filled
         return cls(graphs, n, indptr, codes % n, graph, sizes, np.int64 if fits else object, dense)
 
     @cached_property
@@ -242,10 +246,10 @@ class _Host:
     @cached_property
     def _bits(self) -> np.ndarray:
         """Per vertex, its row of its graph's adjacency matrix as a bit set
-        over local ids, in words of 64 bits: shape (n, words), uint64."""
-        rows = np.zeros((self.n, -(-int(self.sizes.max()) // 64) * 64), dtype=bool)
+        over local ids, 8 to a byte: shape (n, bytes), uint8."""
+        rows = np.zeros((self.n, int(self.sizes.max())), dtype=bool)
         rows[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.local[self.indices]] = True
-        return np.packbits(rows, axis=1).view(np.uint64)
+        return np.packbits(rows, axis=1)
 
     @cached_property
     def adjacency_runs(self) -> _Blocks:
@@ -275,7 +279,7 @@ class _Host:
             acc = self._bits[part[:, 0]]
             for column in part.T[1:]:
                 acc &= self._bits[column]
-            out[start:start + _CHUNK_ROWS] = np.bitwise_count(acc).sum(axis=1)
+            out[start:start + _CHUNK_ROWS] = _POPCOUNT[acc].sum(axis=1)
         return out
 
 
@@ -474,32 +478,19 @@ def _walk(table, depth: int, members: list[tuple[int, tuple[_Step, ...]]], host:
         _walk(_place(table, step, host), depth + 1, group, host, out)
 
 
-def _is_dense(g: Graph) -> bool:
-    """Whether `g` is counted on a dense host: n <= 256 and its mean
-    degree d has d**2 >= `_DENSE_FILL` * n, d**2 / n being about the share
-    of the n**2 entries that its width-2 tables fill."""
-    n = g.n_vertices
-    return n <= _DENSE_ORDER and (2 * g.n_edges) ** 2 >= _DENSE_FILL * n**3
-
-
 def _count(graphs: Sequence[Graph], indices: Iterable[int]) -> list[list[int]]:
     """Exact homomorphism counts of the catalog patterns at `indices` into
-    each of `graphs`: one walk over the disjoint union of the graphs
-    counted dense, sorted by vertex count, and one over the others."""
+    each of `graphs`, by one walk over their disjoint union, the graphs
+    sorted by vertex count."""
     members = [(pos, _PLANS[i]) for pos, i in enumerate(indices)]
+    order = sorted(range(len(graphs)), key=lambda i: graphs[i].n_vertices)
+    host = _Host.of(*(graphs[i] for i in order))
+    out = [np.zeros(len(graphs), dtype=host.dtype)] * len(members)
+    root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
+    _walk(host.split(np.ones(len(graphs)), 0) if host.dense else root, 0, members, host, out)
     counts: list[list[int]] = [[] for _ in graphs]
-    dense = [_is_dense(g) for g in graphs]
-    parts = (
-        sorted((i for i, d in enumerate(dense) if d), key=lambda i: graphs[i].n_vertices),
-        [i for i, d in enumerate(dense) if not d],
-    )
-    for part in filter(None, parts):
-        host = _Host.of(*(graphs[i] for i in part))
-        out = [np.zeros(len(part), dtype=host.dtype)] * len(members)
-        root = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=host.dtype)
-        _walk(host.split(np.ones(len(part)), 0) if host.dense else root, 0, members, host, out)
-        for i, column in zip(part, zip(*out)):
-            counts[i] = list(map(int, column))
+    for i, column in zip(order, zip(*out)):
+        counts[i] = list(map(int, column))
     return counts
 
 

@@ -306,15 +306,6 @@ class TestDatasetLines:
         ({"num_nodes": 1, "label": [1, [-1e999]]}, "label holds a number past the float range"),
         ({"num_nodes": 1, "label": {"x": 1e999}}, "label holds a number past the float range"),
         ({"num_nodes": 1, "label": [{"x": [1, {"y": -1e999}]}]}, "label holds a number past the float range"),
-    ], ids=["negative-count", "edge-rows", "node-overflow", "edge-overflow", "label-overflow", "list-label-overflow",
-            "object-label-overflow", "nested-object-label-overflow"])
-    def test_refused_record(self, tmp_path, capsys, record, message):
-        # 1e999 is valid JSON syntax that overflows to an infinity; json.dumps
-        # writes it as Infinity, which the reader refuses, so it is spelt out.
-        text = json.dumps({"id": "gx", **record}).replace("Infinity", "1e999") + "\n"
-        assert run_features(tmp_path, capsys, text) == (2, [f"graphinv: graph 'gx': {message}"], None)
-
-    @pytest.mark.parametrize("record, message", [
         ({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.5, True], [1, 2]]},
          "node_features is not a matrix of numbers"),
         ({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1, 2], [False, 0]]},
@@ -323,10 +314,14 @@ class TestDatasetLines:
          "edge_features is not a matrix of numbers"),
         ({"num_nodes": 2, "edges": [[0, 1]], "edge_features": [[2, False]], "label": 1},
          "edge_features is not a matrix of numbers"),
-    ], ids=["node-true-float", "node-false-int", "edge-true-float", "edge-false-int"])
-    def test_bool_among_numbers_refused(self, tmp_path, capsys, record, message):
-        # numpy would read the bool as 1 or 0 among the numbers.
-        text = json.dumps({"id": "gx", **record}) + "\n"
+    ], ids=["negative-count", "edge-rows", "node-overflow", "edge-overflow", "label-overflow", "list-label-overflow",
+            "object-label-overflow", "nested-object-label-overflow", "node-true-float", "node-false-int",
+            "edge-true-float", "edge-false-int"])
+    def test_refused_record(self, tmp_path, capsys, record, message):
+        # 1e999 is valid JSON syntax that overflows to an infinity; json.dumps
+        # writes it as Infinity, which the reader refuses, so it is spelt out.
+        # numpy would read a bool among number cells as 1 or 0.
+        text = json.dumps({"id": "gx", **record}).replace("Infinity", "1e999") + "\n"
         assert run_features(tmp_path, capsys, text) == (2, [f"graphinv: graph 'gx': {message}"], None)
 
     def test_bool_among_numbers_refused_in_pairs(self, tmp_path, capsys):

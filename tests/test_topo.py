@@ -285,8 +285,9 @@ class TestHomomorphismOracleProperties:
     @given(block_graphs(max_n=12))
     def test_object_counts_match_einsum(self, g):
         # With a tiny int64 bound every host with edges counts in Python
-        # integers (dtype=object), finishes each plan with an object dot
-        # product and merges rows by lexsort instead of base-n codes.
+        # integers (dtype=object): a sparse host finishes each plan with an
+        # object dot product and merges rows by lexsort instead of base-n
+        # codes; a dense host keeps its width-1 and width-2 tables in float64.
         a = adjacency_matrix(g)
         want = [count_homomorphisms_einsum(p.n_vertices, p.edges, a) for p in PATTERN_CATALOG]
         with pytest.MonkeyPatch.context() as mp:
@@ -323,20 +324,23 @@ class TestHomomorphismOracleProperties:
 
 class TestDenseTables:
     """The dense steps (width-1 and width-2 tables as per-graph blocks) and
-    the sparse steps give the same counts on the same chunks. The choice
-    is forced by `_DENSE_FILL`: 0 makes every graph with n <= 256 dense,
-    infinity none."""
+    the sparse steps give the same counts on the same chunks.
+    `_DENSE_FILL` = 0 makes every host of graphs with n <= 256 dense,
+    `_DENSE_ORDER` = -1 makes every host sparse, and with a tiny int64
+    bound too the sparse steps count in Python integers and merge rows
+    by lexsort."""
 
     @staticmethod
-    def counts(graphs, fill, monkeypatch):
-        monkeypatch.setattr(homcount, "_DENSE_FILL", fill)
-        dense = [homcount._is_dense(g) for g in graphs]
-        assert dense == [fill == 0 and g.n_vertices <= 256 for g in graphs]
-        return homcount._count(graphs, range(len(PATTERN_CATALOG)))
-
-    def assert_same(self, graphs, monkeypatch):
-        dense = self.counts(graphs, 0.0, monkeypatch)
-        assert dense == self.counts(graphs, math.inf, monkeypatch)
+    def assert_same(graphs, monkeypatch):
+        every = range(len(PATTERN_CATALOG))
+        monkeypatch.setattr(homcount, "_DENSE_FILL", 0.0)
+        assert homcount._Host.of(*graphs).dense
+        dense = homcount._count(graphs, every)
+        monkeypatch.setattr(homcount, "_DENSE_ORDER", -1)
+        assert homcount._count(graphs, every) == dense
+        monkeypatch.setattr(homcount, "_INT64_MAX", 1)
+        assert homcount._count(graphs, every) == dense
+        monkeypatch.undo()
         return dense
 
     @settings(max_examples=60, deadline=None)
@@ -361,7 +365,6 @@ class TestDenseTables:
             assert self.assert_same([g], monkeypatch) == [want]
             monkeypatch.setattr(homcount, "_CHUNK_ROWS", 5)
             assert self.assert_same([g], monkeypatch) == [want]
-            monkeypatch.undo()
 
     def test_isolated_vertices(self, monkeypatch):
         graphs = [
@@ -373,16 +376,19 @@ class TestDenseTables:
         assert counts[2] == [0] * len(PATTERN_CATALOG)
 
     def test_host_form(self, monkeypatch):
-        # The dense form needs every graph within 256 vertices and counts
-        # within int64; the default fill keeps sparse graphs sparse.
+        # Dense when every graph has at most 256 vertices and the summed
+        # squared degrees reach 0.12 of the summed n**2.
+        rng = random.Random(5)
+        assert homcount._Host.of(complete_graph(8), cycle_graph(20)).dense
+        assert homcount._Host.of(*[erdos_renyi(30, 0.2, rng) for _ in range(8)]).dense
+        assert not homcount._Host.of(cycle_graph(40)).dense  # 160 < 0.12 * 1600
+        assert homcount._Host.of(cycle_graph(33)).dense  # 132 >= 0.12 * 1089
+        assert not homcount._Host.of(erdos_renyi(250, 4 / 249, rng)).dense
+        assert not homcount._Host.of(empty_graph(3)).dense
         monkeypatch.setattr(homcount, "_DENSE_FILL", 0.0)
         assert homcount._Host.of(cycle_graph(256), empty_graph(3)).dense
         assert not homcount._Host.of(cycle_graph(257)).dense
         assert not homcount._Host.of(cycle_graph(5), cycle_graph(257)).dense
-        monkeypatch.setattr(homcount, "_INT64_MAX", 1)
-        assert not homcount._Host.of(cycle_graph(5)).dense
-        monkeypatch.undo()
-        assert homcount._is_dense(complete_graph(8)) and not homcount._is_dense(cycle_graph(200))
 
 
 class TestTreewidthSplit:
